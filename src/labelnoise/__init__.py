@@ -1,15 +1,18 @@
 """Binary classification with randomly flipped training labels.
 
-The package splits into five parts:
+The package splits into seven parts:
 
 * ``calculus``    — closed-form clean/noisy posterior relations, corrected
-                    decision thresholds, flipped-Bernoulli rate recovery
+                    decision thresholds, the logistic function,
+                    flipped-Bernoulli rate recovery
 * ``synthdata``   — Gaussian-mixture problems with exact posteriors,
                     sampling, label flipping, CSV round trip
 * ``mlp``         — small tanh network, hand-written backprop, training,
                     bias-shift/threshold duality
 * ``experiments`` — the two deterministic study grids with CSV/SVG output
+* ``svgchart``    — dependency-free SVG line charts for the grids
 * ``cli``         — batch command-line front end
+* ``seeding``     — hashed seed derivation, one random stream per purpose
 """
 
 __version__ = "0.1.0"
@@ -21,6 +24,7 @@ from .calculus import (
     clamp01,
     corrupt_posterior,
     error_amplification,
+    logistic,
     logit_shift,
     mle_flipped_bernoulli,
     noisy_decision_threshold,

@@ -152,19 +152,27 @@ def logit_shift(train_prior: ClassPriors, eval_prior: ClassPriors) -> float:
     return math.log(train_prior.p1 / train_prior.p0) - math.log(eval_prior.p1 / eval_prior.p0)
 
 
+def logistic(s):
+    """1 / (1 + exp(-s)), scalar -> float, array -> array; unclipped.
+
+    Both signs go through t = exp(-|s|), so huge |s| neither overflows
+    nor loses precision; far enough out the result is exactly 0.0 or 1.0.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    t = np.exp(-np.abs(s))
+    p = np.where(s >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return float(p) if p.ndim == 0 else p
+
+
 def threshold_from_shift(delta: float) -> float:
     """Probability-space threshold equivalent to deciding at score >= delta.
 
-    sigmoid(delta), evaluated on the stable branch so that large |delta|
-    neither overflows nor loses precision.
+    That is logistic(delta); the shift must be finite.
     """
     delta = float(delta)
     if not math.isfinite(delta):
         raise ValueError(f"score shift must be finite, got {delta}")
-    if delta >= 0.0:
-        return 1.0 / (1.0 + math.exp(-delta))
-    e = math.exp(delta)
-    return e / (1.0 + e)
+    return logistic(delta)
 
 
 def threshold_from_priors(eval_prior: ClassPriors, noisy_train_prior: ClassPriors) -> float:

@@ -18,7 +18,9 @@ failures (missing/malformed files, diverged training) exit 1.
 import argparse
 import dataclasses
 import json
+import math
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -66,6 +68,11 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: list[str],
         fh.write("\n")
 
 
+def _flag_values(args) -> dict:
+    """The parsed flags of a subcommand, as recorded in its manifest."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+
+
 def _flags(build):
     """Run a constructor over flag values, turning ValueError into UsageError."""
     try:
@@ -102,12 +109,8 @@ def cmd_gen(args) -> int:
     data = synthdata.flip_labels(clean, noise, derive_seed(args.seed, "gen-flip"))
     out = Path(args.out)
     synthdata.save_dataset_csv(data, out)
-    config = {
-        "n": args.n, "seed": args.seed, "p1": args.p1, "gamma1": args.gamma1,
-        "gamma0": args.gamma0, "separation": args.separation, "out": str(out),
-    }
     manifest = out.with_name(out.name + ".manifest.json")
-    _write_manifest(manifest, "gen", config, [str(out)], started)
+    _write_manifest(manifest, "gen", _flag_values(args), [str(out)], started)
     print(f"wrote {len(data)} samples to {out}")
     print(f"clean class-1 fraction    {float((data.y_clean == 1).mean())!r}")
     print(f"observed class-1 fraction {float((data.z_observed == 1).mean())!r}")
@@ -130,15 +133,8 @@ def cmd_train(args) -> int:
         print(f"epoch {i}/{cfg.epochs}  loss {ep_loss:.6f}")
     out = Path(args.out)
     mlp.save_model(result.params, out)
-    config = {
-        "data": str(args.data), "out": str(out), "hidden": list(args.hidden),
-        "epochs": args.epochs, "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate, "momentum": args.momentum,
-        "weight_decay": args.weight_decay, "seed": args.seed,
-        "early_stop_tol": args.early_stop_tol,
-    }
     manifest = out.with_name(out.name + ".manifest.json")
-    _write_manifest(manifest, "train", config, [str(out)], started)
+    _write_manifest(manifest, "train", _flag_values(args), [str(out)], started)
     print(f"saved model to {out}")
     print(f"manifest {manifest}")
     return 0
@@ -181,34 +177,32 @@ def cmd_eval(args) -> int:
 
 # -------------------------------------------------------------- experiments
 
-_FLOAT_KEYS = {"separation_scale", "learning_rate", "momentum"}
-_INT_KEYS = {"runs", "test_size", "train_size", "base_seed", "epochs", "batch_size"}
-_FLOAT_LIST_KEYS = {"noise_levels", "flip_ratios"}
-_INT_LIST_KEYS = {"training_sizes"}
+def _cast_number(key: str, kind: type, value):
+    """Cast a JSON number to kind (int or float); booleans and non-finite values fail."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            cast = kind(value)  # int(inf) and float(10**400) overflow, int(nan) fails
+        except (OverflowError, ValueError):
+            pass
+        else:
+            if (cast == value) if kind is int else math.isfinite(cast):
+                return cast
+    expected = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"bad value for {key!r}: expected {expected}, got {value!r}")
 
 
-def _cast_config_value(key: str, value):
-    def num(v, kind):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"bad value for {key!r}: expected a {kind}, got {v!r}")
-        if kind == "int" and float(v) != int(v):
-            raise ConfigError(f"bad value for {key!r}: expected an integer, got {v!r}")
-        return int(v) if kind == "int" else float(v)
-
-    if key in _FLOAT_KEYS:
-        return num(value, "float")
-    if key in _INT_KEYS:
-        return num(value, "int")
-    if key in _FLOAT_LIST_KEYS or key in _INT_LIST_KEYS:
+def _cast_config_value(field: dataclasses.Field, value):
+    """Check a JSON value against a config field's declared type and cast it to that type."""
+    if typing.get_origin(field.type) is tuple:
+        kind = typing.get_args(field.type)[0]
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"bad value for {key!r}: expected a non-empty list of numbers")
-        kind = "int" if key in _INT_LIST_KEYS else "float"
-        return tuple(num(v, kind) for v in value)
-    raise AssertionError(key)
+            raise ConfigError(f"bad value for {field.name!r}: expected a non-empty list of numbers")
+        return tuple(_cast_number(field.name, kind, v) for v in value)
+    return _cast_number(field.name, field.type, value)
 
 
 def _load_grid_config(cls, path):
-    allowed = {f.name for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     overrides = {}
     if path is not None:
         try:
@@ -218,12 +212,12 @@ def _load_grid_config(cls, path):
             raise ConfigError(f"config {path}: not valid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path}: top level must be a JSON object")
-        unknown = sorted(set(raw) - allowed)
+        unknown = sorted(set(raw) - set(fields))
         if unknown:
             raise ConfigError(
                 f"config {path}: unknown key(s): {', '.join(unknown)}; "
-                f"allowed keys: {', '.join(sorted(allowed))}")
-        overrides = {key: _cast_config_value(key, value) for key, value in raw.items()}
+                f"allowed keys: {', '.join(sorted(fields))}")
+        overrides = {key: _cast_config_value(fields[key], value) for key, value in raw.items()}
     try:
         return cls(**overrides)
     except ValueError as exc:
@@ -248,9 +242,25 @@ def _chart_series(summary, x_field: str):
     return series
 
 
-def _run_grid_command(args, name: str, cls, runner, x_field: str, x_label: str,
-                      title: str, x_log: bool) -> int:
+# name -> (help, config class, runner name, chart x field, x label, title, log-scaled x);
+# the runner is looked up on experiments at call time, so patching it there takes effect
+_FIGURES = {
+    "fig2": ("training-efficiency grid: accuracy vs training size per noise level",
+             experiments.EfficiencyGridConfig, "run_efficiency_grid", "train_size",
+             "training-set size", "Accuracy vs training size under symmetric label noise", True),
+    "fig3": ("flip-ratio grid: corrected vs naive decision threshold",
+             experiments.FlipRatioGridConfig, "run_flip_ratio_grid", "ratio",
+             "flip ratio gamma0 / gamma1", "Corrected vs naive threshold under asymmetric label noise",
+             False),
+}
+
+
+def cmd_figure(args) -> int:
     started = _utc_now()
+    name = args.command
+    _, cls, runner, x_field, x_label, title, x_log = _FIGURES[name]
+    if not args.print_config and args.outdir is None:
+        raise UsageError("--outdir is required (unless --print-config)")
     cfg = _load_grid_config(cls, args.config)
     if args.print_config:
         print(json.dumps(_config_as_dict(cfg), indent=2, sort_keys=True))
@@ -259,7 +269,7 @@ def _run_grid_command(args, name: str, cls, runner, x_field: str, x_label: str,
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = runner(cfg, jobs=args.jobs)
+    rows = getattr(experiments, runner)(cfg, jobs=args.jobs)
     summary = experiments.summarize(rows)
 
     results_path = outdir / f"{name}_results.csv"
@@ -280,20 +290,6 @@ def _run_grid_command(args, name: str, cls, runner, x_field: str, x_label: str,
     for p in (results_path, summary_path, chart_path, manifest_path):
         print(f"wrote {p}")
     return 0
-
-
-def cmd_fig2(args) -> int:
-    return _run_grid_command(
-        args, "fig2", experiments.EfficiencyGridConfig, experiments.run_efficiency_grid,
-        x_field="train_size", x_label="training-set size",
-        title="Accuracy vs training size under symmetric label noise", x_log=True)
-
-
-def cmd_fig3(args) -> int:
-    return _run_grid_command(
-        args, "fig3", experiments.FlipRatioGridConfig, experiments.run_flip_ratio_grid,
-        x_field="ratio", x_label="flip ratio gamma0 / gamma1",
-        title="Corrected vs naive threshold under asymmetric label noise", x_log=False)
 
 
 # ---------------------------------------------------------------- bernoulli
@@ -371,17 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which label column to score against")
     p.set_defaults(func=cmd_eval)
 
-    for name, func, help_text in (
-        ("fig2", cmd_fig2, "training-efficiency grid: accuracy vs training size per noise level"),
-        ("fig3", cmd_fig3, "flip-ratio grid: corrected vs naive decision threshold"),
-    ):
+    for name, (help_text, *_) in _FIGURES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config (defaults apply to missing keys)")
         p.add_argument("--outdir", default=None, help="output directory")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--print-config", action="store_true",
                        help="print the resolved config as JSON and exit")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("bernoulli", help="flipped-coin demo: recover the clean rate two ways")
     p.add_argument("--p", type=float, required=True, help="true clean rate")
@@ -400,10 +393,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    if getattr(args, "command", None) in ("fig2", "fig3"):
-        if not args.print_config and args.outdir is None:
-            print("error: --outdir is required (unless --print-config)", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (UsageError, ConfigError) as exc:

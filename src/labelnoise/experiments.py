@@ -21,7 +21,7 @@ keeps the output byte-identical for any --jobs value.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -29,15 +29,6 @@ import numpy as np
 from . import mlp, synthdata
 from .calculus import ClassPriors, NoiseParams, propagate_priors, threshold_from_priors
 from .seeding import derive_seed
-
-RESULTS_FIELDS = (
-    "experiment", "n", "gamma1", "gamma0", "ratio", "train_size", "run",
-    "threshold", "acc_corrected", "acc_naive", "bayes_ceiling", "seed",
-)
-SUMMARY_FIELDS = (
-    "experiment", "n", "ratio", "train_size",
-    "mean_corrected", "se_corrected", "mean_naive", "se_naive", "mean_ceiling",
-)
 
 
 def _noise_for_ratio(n: float, ratio: float) -> NoiseParams:
@@ -137,6 +128,11 @@ class SummaryRow:
     mean_ceiling: float
 
 
+# CSV columns, in field order
+RESULTS_FIELDS = tuple(f.name for f in fields(ResultRow))
+SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow))
+
+
 def _accuracy(pred: np.ndarray, y_clean: np.ndarray) -> float:
     return float((pred == y_clean).mean())
 
@@ -164,43 +160,36 @@ def _run_cell(cfg, experiment: str, noise: NoiseParams, ratio: float,
                      train_size, run, threshold, acc_corrected, acc_naive, ceiling, cell_seed)
 
 
-def _efficiency_cell(cfg: EfficiencyGridConfig, n: float, size: int, run: int) -> ResultRow:
-    cell_seed = derive_seed(cfg.base_seed, "efficiency", n, size, run)
-    # symmetric split; the (undefined) 0/0 ratio at n=0 is reported as 1.0 too
-    return _run_cell(cfg, "efficiency", NoiseParams(n / 2.0, n / 2.0), 1.0, size, run, cell_seed)
-
-
-def _flip_ratio_cell(cfg: FlipRatioGridConfig, n: float, ratio: float, run: int) -> ResultRow:
-    cell_seed = derive_seed(cfg.base_seed, "flip-ratio", n, ratio, run)
-    return _run_cell(cfg, "flip-ratio", _noise_for_ratio(n, ratio), ratio, cfg.train_size, run, cell_seed)
-
-
-def _run_grid(cell, cfg, coords: list[tuple], jobs: int) -> list[ResultRow]:
+def _run_grid(cfg, cells: list[tuple], jobs: int) -> list[ResultRow]:
+    """Run _run_cell over (experiment, noise, ratio, train_size, run, cell_seed) tuples."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1:
-        rows = [cell(cfg, *c) for c in coords]
+        rows = [_run_cell(cfg, *c) for c in cells]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(cell, repeat(cfg), *zip(*coords), chunksize=1))
+            rows = list(pool.map(_run_cell, repeat(cfg), *zip(*cells), chunksize=1))
     rows.sort(key=lambda r: (r.n, r.ratio, r.train_size, r.run))
     return rows
 
 
 def run_efficiency_grid(cfg: EfficiencyGridConfig, jobs: int = 1) -> list[ResultRow]:
-    coords = [(n, size, run)
-              for n in cfg.noise_levels
-              for size in cfg.training_sizes
-              for run in range(cfg.runs)]
-    return _run_grid(_efficiency_cell, cfg, coords, jobs)
+    # symmetric split; the (undefined) 0/0 ratio at n=0 is reported as 1.0 too
+    cells = [("efficiency", NoiseParams(n / 2.0, n / 2.0), 1.0, size, run,
+              derive_seed(cfg.base_seed, "efficiency", n, size, run))
+             for n in cfg.noise_levels
+             for size in cfg.training_sizes
+             for run in range(cfg.runs)]
+    return _run_grid(cfg, cells, jobs)
 
 
 def run_flip_ratio_grid(cfg: FlipRatioGridConfig, jobs: int = 1) -> list[ResultRow]:
-    coords = [(n, ratio, run)
-              for n in cfg.noise_levels
-              for ratio in cfg.flip_ratios
-              for run in range(cfg.runs)]
-    return _run_grid(_flip_ratio_cell, cfg, coords, jobs)
+    cells = [("flip-ratio", _noise_for_ratio(n, ratio), ratio, cfg.train_size, run,
+              derive_seed(cfg.base_seed, "flip-ratio", n, ratio, run))
+             for n in cfg.noise_levels
+             for ratio in cfg.flip_ratios
+             for run in range(cfg.runs)]
+    return _run_grid(cfg, cells, jobs)
 
 
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:

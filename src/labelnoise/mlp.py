@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import logistic
 from .seeding import make_rng
 
 # name -> (activation, derivative expressed in terms of the activation output)
@@ -137,15 +138,11 @@ class TrainResult:
 
 
 def sigmoid(s):
-    """Numerically stable logistic, clipped into the open interval (0, 1).
+    """calculus.logistic clipped into the open interval (0, 1).
 
-    Scores of either sign use the exp(-|s|) branch, so huge |s| neither
-    overflows nor collapses the probability onto a hard 0/1.
+    Huge |s| never collapses the probability onto a hard 0/1.
     """
-    s = np.asarray(s, dtype=np.float64)
-    t = np.exp(-np.abs(s))
-    p = np.where(s >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-    p = np.clip(p, _PROB_LO, _PROB_HI)
+    p = np.clip(logistic(s), _PROB_LO, _PROB_HI)
     return float(p) if p.ndim == 0 else p
 
 
@@ -385,23 +382,28 @@ def load_model(path) -> MlpParams:
         if len(parts) != want:
             fail(lineno, f"expected {want} values, got {len(parts)}")
         try:
-            return np.array([float(p) for p in parts])
+            values = np.array([float(p) for p in parts])
         except ValueError as exc:
             fail(lineno, str(exc))
+        if not np.isfinite(values).all():
+            fail(lineno, "parameters must be finite")
+        return values
 
     if not lines or lines[0] != _MODEL_MAGIC:
         fail(1, f"expected header {_MODEL_MAGIC!r}")
     if len(lines) < 3 or not lines[1].startswith("activation "):
         fail(2, "expected 'activation <name>'")
     activation = lines[1].split(" ", 1)[1]
+    if activation not in _ACTIVATIONS:
+        fail(2, f"unknown activation {activation!r}")
     if not lines[2].startswith("sizes "):
         fail(3, "expected 'sizes <n> <n> ...'")
     try:
         sizes = tuple(int(s) for s in lines[2].split()[1:])
     except ValueError as exc:
         fail(3, str(exc))
-    if len(sizes) < 2 or sizes[-1] != 1:
-        fail(3, f"layer sizes must end with 1, got {sizes}")
+    if len(sizes) < 2 or sizes[-1] != 1 or min(sizes) < 1:
+        fail(3, f"layer sizes must be >= 1 and end with 1, got {sizes}")
     arch = Architecture(sizes[0], sizes[1:-1], activation)
 
     weights = []
@@ -427,7 +429,4 @@ def load_model(path) -> MlpParams:
         at += 1
     if any(line.strip() for line in lines[at:]):
         fail(at + 1, "trailing content after the last parameter block")
-    try:
-        return MlpParams(arch, tuple(weights), tuple(biases))
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
+    return MlpParams(arch, tuple(weights), tuple(biases))

@@ -91,7 +91,7 @@ def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{left + px / 2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{left + px / 2:.1f}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>',
     ]
 
     x_ticks = (_log_ticks(10 ** x_lo, 10 ** x_hi) if x_log else _nice_ticks(x_lo, x_hi))
@@ -108,9 +108,9 @@ def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label
         out.append(f'<text x="{left - 9}" y="{gy + 4:.1f}" text-anchor="end" font-size="12">{_fmt_tick(v)}</text>')
 
     out.append(f'<rect x="{left}" y="{top}" width="{px}" height="{py}" fill="none" stroke="black"/>')
-    out.append(f'<text x="{left + px / 2:.1f}" y="{height - 14}" text-anchor="middle" font-size="13">{x_label}</text>')
+    out.append(f'<text x="{left + px / 2:.1f}" y="{height - 14}" text-anchor="middle" font-size="13">{_escape(x_label)}</text>')
     out.append(f'<text x="20" y="{top + py / 2:.1f}" text-anchor="middle" font-size="13" '
-               f'transform="rotate(-90 20 {top + py / 2:.1f})">{y_label}</text>')
+               f'transform="rotate(-90 20 {top + py / 2:.1f})">{_escape(y_label)}</text>')
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ClassPriors, NoiseParams
+from .calculus import ClassPriors, NoiseParams, logistic
 from .seeding import make_rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -213,8 +213,8 @@ def _as_points(x) -> np.ndarray:
 def clean_posterior(problem: ProblemInstance, x) -> float | np.ndarray:
     """Exact P(y=1 | x), computed in log space.
 
-    Works through the log-odds log(P1 f1(x)) - log(P0 f0(x)) and a stable
-    sigmoid, so it survives x far in the tails where both densities
+    Works through the log-odds log(P1 f1(x)) - log(P0 f0(x)) and the stable
+    calculus.logistic, so it survives x far in the tails where both densities
     underflow a direct Bayes quotient.  If both class log-densities are
     non-finite (beyond even log-space range) the prior p1 is returned.
     """
@@ -224,14 +224,9 @@ def clean_posterior(problem: ProblemInstance, x) -> float | np.ndarray:
         l0 = np.log(problem.clean_priors.p0) + gmm_log_density(problem.model0, x)
     with np.errstate(invalid="ignore"):
         gap = np.asarray(l1 - l0)
-        post = _sigmoid(np.where(np.isnan(gap), 0.0, gap))
+        post = logistic(np.where(np.isnan(gap), 0.0, gap))
         post = np.where(np.isnan(gap), problem.clean_priors.p1, post)
     return float(post) if post.ndim == 0 else post
-
-
-def _sigmoid(s: np.ndarray) -> np.ndarray:
-    t = np.exp(-np.abs(s))
-    return np.where(s >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 def sample_dataset(problem: ProblemInstance, n: int, seed: int) -> Dataset:
@@ -294,35 +289,48 @@ def save_dataset_csv(data: Dataset, path) -> None:
 
 def load_dataset_csv(path) -> Dataset:
     """Inverse of save_dataset_csv; bad input raises DatasetFormatError with a line number."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            return _parse_dataset_csv(csv.reader(fh))
+    except UnicodeDecodeError:
+        # find the line: no UTF-8 multi-byte sequence contains a newline byte
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DatasetFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+        raise
+
+
+def _parse_dataset_csv(reader) -> Dataset:
     xs: list[tuple[float, float]] = []
     ys: list[int] = []
     zs: list[int] = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetFormatError("line 1: file is empty")
-        if tuple(header) != CSV_FIELDS:
-            raise DatasetFormatError(
-                f"line 1: expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DatasetFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            try:
-                x1, x2 = float(row[0]), float(row[1])
-                y, z = int(row[2]), int(row[3])
-            except ValueError as exc:
-                raise DatasetFormatError(f"line {lineno}: {exc}") from None
-            if not (math.isfinite(x1) and math.isfinite(x2)):
-                raise DatasetFormatError(f"line {lineno}: features must be finite")
-            if y not in (0, 1) or z not in (0, 1):
-                raise DatasetFormatError(f"line {lineno}: labels must be 0 or 1")
-            xs.append((x1, x2))
-            ys.append(y)
-            zs.append(z)
+    header = next(reader, None)
+    if header is None:
+        raise DatasetFormatError("line 1: file is empty")
+    if tuple(header) != CSV_FIELDS:
+        raise DatasetFormatError(
+            f"line 1: expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise DatasetFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+        try:
+            x1, x2 = float(row[0]), float(row[1])
+            y, z = int(row[2]), int(row[3])
+        except ValueError as exc:
+            raise DatasetFormatError(f"line {lineno}: {exc}") from None
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            raise DatasetFormatError(f"line {lineno}: features must be finite")
+        if y not in (0, 1) or z not in (0, 1):
+            raise DatasetFormatError(f"line {lineno}: labels must be 0 or 1")
+        xs.append((x1, x2))
+        ys.append(y)
+        zs.append(z)
     if not xs:
         raise DatasetFormatError("line 2: no data rows")
     return Dataset(np.array(xs, dtype=np.float64), np.array(ys), np.array(zs))

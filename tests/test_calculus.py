@@ -10,6 +10,7 @@ from labelnoise.calculus import (
     clamp01,
     corrupt_posterior,
     error_amplification,
+    logistic,
     logit_shift,
     mle_flipped_bernoulli,
     noisy_decision_threshold,
@@ -230,6 +231,19 @@ def test_threshold_from_shift_is_stable_at_extremes():
         threshold_from_shift(float("inf"))
     with pytest.raises(ValueError):
         threshold_from_shift(float("nan"))
+
+
+def test_logistic_is_unclipped_scalar_and_array():
+    assert logistic(0.0) == 0.5
+    assert isinstance(logistic(1.0), float)
+    assert logistic(math.log(3.0)) == pytest.approx(0.75, abs=1e-15)
+    s = np.array([-800.0, -36.0, -0.5, 0.0, 0.5, 36.0, 800.0])
+    p = logistic(s)
+    assert isinstance(p, np.ndarray) and p.shape == s.shape
+    assert p[0] == 0.0 and p[-1] == 1.0  # saturates: nothing clips it
+    assert 0.0 < p[1] and p[-2] < 1.0
+    assert list(p) == [logistic(v) for v in s]
+    assert threshold_from_shift(-0.5) == logistic(-0.5)
 
 
 def test_threshold_from_priors_examples():

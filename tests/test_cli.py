@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from labelnoise.calculus import (
     threshold_from_priors,
 )
 from labelnoise.cli import main
-from labelnoise.experiments import FlipRatioGridConfig
+from labelnoise.experiments import EfficiencyGridConfig, FlipRatioGridConfig
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +120,22 @@ def test_gen_writes_a_loadable_csv_and_manifest(capsys, tmp_path):
     assert manifest["command"] == "gen"
     assert manifest["config"]["gamma1"] == 0.3
     assert manifest["outputs"] == [str(out_path)]
+
+
+def test_gen_and_train_manifests_record_exactly_the_parsed_flags(capsys, tmp_path):
+    data = tmp_path / "d.csv"
+    model = tmp_path / "m.txt"
+    assert main(["gen", "--out", str(data), "--n", "30", "--seed", "5", "--gamma1", "0.2"]) == 0
+    assert main(["train", "--data", str(data), "--out", str(model), "--epochs", "2",
+                 "--hidden", "4", "3", "--early-stop-tol", "0.001"]) == 0
+    capsys.readouterr()
+    gen = json.loads((tmp_path / "d.csv.manifest.json").read_text())["config"]
+    assert gen == {"out": str(data), "n": 30, "seed": 5, "p1": 0.5, "gamma1": 0.2,
+                   "gamma0": 0.0, "separation": 2.5}
+    train = json.loads((tmp_path / "m.txt.manifest.json").read_text())["config"]
+    assert train == {"data": str(data), "out": str(model), "hidden": [4, 3], "epochs": 2,
+                     "batch_size": 32, "learning_rate": 0.05, "momentum": 0.9,
+                     "weight_decay": 0.0, "early_stop_tol": 0.001, "seed": 0}
 
 
 def test_eval_accuracy_equals_direct_library_computation(capsys, tmp_path):
@@ -309,6 +326,19 @@ def test_fig_print_config_shows_resolved_defaults(capsys, tmp_path):
     assert resolved["flip_ratios"] == list(FlipRatioGridConfig().flip_ratios)
 
 
+@pytest.mark.parametrize("figure, cls", [("fig2", EfficiencyGridConfig),
+                                         ("fig3", FlipRatioGridConfig)])
+def test_fig_print_config_reads_back_as_the_same_config(capsys, tmp_path, figure, cls):
+    code, printed, _ = run_cli(capsys, figure, "--print-config")
+    assert code == 0
+    assert set(json.loads(printed)) == {f.name for f in dataclasses.fields(cls)}
+    cfg = tmp_path / "resolved.json"
+    cfg.write_text(printed)
+    code, again, _ = run_cli(capsys, figure, "--config", str(cfg), "--print-config")
+    assert code == 0
+    assert again == printed
+
+
 def test_fig_requires_outdir_unless_printing(capsys):
     code, _, err = run_cli(capsys, "fig3")
     assert code == 2
@@ -322,6 +352,9 @@ def test_fig_requires_outdir_unless_printing(capsys):
     ('{"runs": "many"}', "runs"),
     ('{"noise_levels": 0.4}', "noise_levels"),
     ('{"runs": 0}', "runs"),
+    ('{"runs": Infinity}', "runs"),
+    ('{"runs": NaN}', "runs"),
+    ('{"learning_rate": Infinity}', "learning_rate"),
 ])
 def test_fig_config_problems_exit_two_and_name_the_key(capsys, tmp_path, payload, fragment):
     cfg = tmp_path / "cfg.json"

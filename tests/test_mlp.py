@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from labelnoise.calculus import NoiseParams, corrupt_posterior, threshold_from_shift
+from labelnoise.calculus import NoiseParams, corrupt_posterior, logistic, threshold_from_shift
 from labelnoise.mlp import (
     Architecture,
     MlpParams,
@@ -95,6 +95,12 @@ def test_sigmoid_matches_reference_formula():
 
 def test_sigmoid_is_strictly_inside_unit_interval_at_huge_scores():
     assert 0.0 < sigmoid(-4000.0) < sigmoid(4000.0) < 1.0
+
+
+def test_sigmoid_is_the_clipped_calculus_logistic():
+    s = np.array([-4000.0, -20.0, -0.3, 0.0, 0.3, 20.0, 4000.0])
+    assert np.array_equal(sigmoid(s)[1:-1], logistic(s)[1:-1])
+    assert sigmoid(0.3) == logistic(0.3)
 
 
 def test_forward_zero_network_gives_even_odds():
@@ -472,6 +478,14 @@ def test_saved_model_is_plain_text_with_header(tmp_path):
     (lambda lines: lines[:4] + ["0.1 spam 0.3"] + lines[5:], "line 5"),
     (lambda lines: lines[:6], "line 7"),
     (lambda lines: lines + ["leftover"], "line 15"),
+    pytest.param(lambda lines: [lines[0], "activation relu"] + lines[2:], "line 2",
+                 id="unknown-activation"),
+    pytest.param(lambda lines: lines[:2] + ["sizes 2 0 1"] + lines[3:], "line 3",
+                 id="zero-width-layer"),
+    pytest.param(lambda lines: lines[:9] + ["-inf"] + lines[10:], "line 10",
+                 id="infinite-weight"),
+    pytest.param(lambda lines: lines[:7] + ["0.0 nan 0.0"] + lines[8:], "line 8",
+                 id="nan-bias"),
 ])
 def test_load_model_reports_malformed_files_with_line_numbers(tmp_path, mangle, where):
     params = init_params(Architecture(hidden_sizes=(3,)), 71)

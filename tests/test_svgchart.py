@@ -1,5 +1,7 @@
 """Tests for the dependency-free SVG line chart renderer."""
 
+from xml.dom import minidom
+
 import pytest
 
 from labelnoise.svgchart import Series, render_line_chart, write_line_chart
@@ -67,6 +69,15 @@ def test_series_labels_are_escaped():
     svg = render([Series(label="p < 0.5 & q", xs=(0.0, 1.0), ys=(0.0, 1.0))])
     assert "p &lt; 0.5 &amp; q" in svg
     assert "p < 0.5 & q" not in svg
+
+
+def test_title_and_axis_labels_are_escaped_and_the_output_parses():
+    svg = render([make_series(label="a < b")], title="Accuracy & noise",
+                 x_label="size <n>", y_label="p & q")
+    assert "Accuracy &amp; noise" in svg
+    assert "size &lt;n&gt;" in svg
+    assert "p &amp; q" in svg
+    assert minidom.parseString(svg).documentElement.tagName == "svg"
 
 
 def test_log_axis_requires_positive_x():

@@ -318,6 +318,16 @@ def test_csv_load_reports_line_numbers(tmp_path, content, line):
         load_dataset_csv(path)
 
 
+@pytest.mark.parametrize("good_rows", [1, 5000])
+def test_csv_load_reports_non_utf8_bytes_with_line_number(tmp_path, good_rows):
+    # 5000 rows put the bad byte well past the first buffered read
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x1,x2,y_clean,z_observed\n" + b"1.0,2.0,0,1\n" * good_rows
+                     + b"1.0,2.0,0,1 \xe9t\xe9\n")
+    with pytest.raises(DatasetFormatError, match=f"line {good_rows + 2}: not UTF-8"):
+        load_dataset_csv(path)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), np.array([0, 1, 0]))
