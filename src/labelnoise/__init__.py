@@ -9,7 +9,8 @@ The package splits into seven parts:
                     sampling, label flipping, CSV round trip
 * ``mlp``         — small tanh network, hand-written backprop, training,
                     bias-shift/threshold duality
-* ``experiments`` — the two deterministic study grids with CSV/SVG output
+* ``experiments`` — the two deterministic study grids (``GridConfig``
+                    presets, run by ``run_grid``) with CSV/SVG output
 * ``svgchart``    — dependency-free SVG line charts for the grids
 * ``cli``         — batch command-line front end
 * ``seeding``     — hashed seed derivation, one random stream per purpose
@@ -73,10 +74,12 @@ from .synthdata import (
 from .experiments import (
     EfficiencyGridConfig,
     FlipRatioGridConfig,
+    GridConfig,
     ResultRow,
     SummaryRow,
     run_efficiency_grid,
     run_flip_ratio_grid,
+    run_grid,
     summarize,
     write_results_csv,
     write_summary_csv,

@@ -18,9 +18,7 @@ failures (missing/malformed files, diverged training) exit 1.
 import argparse
 import dataclasses
 import json
-import math
 import sys
-import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -177,33 +175,8 @@ def cmd_eval(args) -> int:
 
 # -------------------------------------------------------------- experiments
 
-def _cast_number(key: str, kind: type, value):
-    """Cast a JSON number to kind (int or float); booleans and non-finite values fail."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            cast = kind(value)  # int(inf) and float(10**400) overflow, int(nan) fails
-        except (OverflowError, ValueError):
-            pass
-        else:
-            if (cast == value) if kind is int else math.isfinite(cast):
-                return cast
-    expected = "an integer" if kind is int else "a finite number"
-    raise ConfigError(f"bad value for {key!r}: expected {expected}, got {value!r}")
-
-
-def _cast_config_value(field: dataclasses.Field, value):
-    """Check a JSON value against a config field's declared type and cast it to that type."""
-    if typing.get_origin(field.type) is tuple:
-        kind = typing.get_args(field.type)[0]
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"bad value for {field.name!r}: expected a non-empty list of numbers")
-        return tuple(_cast_number(field.name, kind, v) for v in value)
-    return _cast_number(field.name, field.type, value)
-
-
 def _load_grid_config(cls, path):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    overrides = {}
+    raw = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -212,14 +185,14 @@ def _load_grid_config(cls, path):
             raise ConfigError(f"config {path}: not valid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path}: top level must be a JSON object")
-        unknown = sorted(set(raw) - set(fields))
+        allowed = {f.name for f in dataclasses.fields(cls)}
+        unknown = sorted(set(raw) - allowed)
         if unknown:
             raise ConfigError(
                 f"config {path}: unknown key(s): {', '.join(unknown)}; "
-                f"allowed keys: {', '.join(sorted(fields))}")
-        overrides = {key: _cast_config_value(fields[key], value) for key, value in raw.items()}
+                f"allowed keys: {', '.join(sorted(allowed))}")
     try:
-        return cls(**overrides)
+        return cls(**raw)
     except ValueError as exc:
         raise ConfigError(f"config {path}: {exc}") from None
 
@@ -242,23 +215,21 @@ def _chart_series(summary, x_field: str):
     return series
 
 
-# name -> (help, config class, runner name, chart x field, x label, title, log-scaled x);
-# the runner is looked up on experiments at call time, so patching it there takes effect
+# name -> (help, config class, chart x field, x label, title, log-scaled x)
 _FIGURES = {
     "fig2": ("training-efficiency grid: accuracy vs training size per noise level",
-             experiments.EfficiencyGridConfig, "run_efficiency_grid", "train_size",
-             "training-set size", "Accuracy vs training size under symmetric label noise", True),
+             experiments.EfficiencyGridConfig, "train_size", "training-set size",
+             "Accuracy vs training size under symmetric label noise", True),
     "fig3": ("flip-ratio grid: corrected vs naive decision threshold",
-             experiments.FlipRatioGridConfig, "run_flip_ratio_grid", "ratio",
-             "flip ratio gamma0 / gamma1", "Corrected vs naive threshold under asymmetric label noise",
-             False),
+             experiments.FlipRatioGridConfig, "ratio", "flip ratio gamma0 / gamma1",
+             "Corrected vs naive threshold under asymmetric label noise", False),
 }
 
 
 def cmd_figure(args) -> int:
     started = _utc_now()
     name = args.command
-    _, cls, runner, x_field, x_label, title, x_log = _FIGURES[name]
+    _, cls, x_field, x_label, title, x_log = _FIGURES[name]
     if not args.print_config and args.outdir is None:
         raise UsageError("--outdir is required (unless --print-config)")
     cfg = _load_grid_config(cls, args.config)
@@ -269,7 +240,7 @@ def cmd_figure(args) -> int:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = getattr(experiments, runner)(cfg, jobs=args.jobs)
+    rows = experiments.run_grid(cfg, jobs=args.jobs)  # looked up at call time, so patches apply
     summary = experiments.summarize(rows)
 
     results_path = outdir / f"{name}_results.csv"
@@ -402,3 +373,7 @@ def main(argv=None) -> int:
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

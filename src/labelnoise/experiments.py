@@ -1,6 +1,6 @@
 """Grid studies of training on flipped labels.
 
-Two grids:
+Two grids, each a ``GridConfig`` preset that ``run_grid`` runs:
 
 * efficiency — symmetric noise (gamma1 == gamma0 == n/2) versus training-set
   size: how many extra samples does a given noise level cost?
@@ -20,6 +20,7 @@ keeps the output byte-identical for any --jobs value.
 """
 
 import math
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -36,67 +37,110 @@ def _noise_for_ratio(n: float, ratio: float) -> NoiseParams:
     return NoiseParams(n / (1.0 + ratio), n * ratio / (1.0 + ratio))
 
 
+def _checked_number(name: str, kind: type, value):
+    """value cast to kind (int or float); booleans and non-finite values raise ValueError."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            cast = kind(value)  # int(inf) and float(10**400) overflow, int(nan) fails
+        except (OverflowError, ValueError):
+            pass
+        else:
+            if (cast == value) if kind is int else math.isfinite(cast):
+                return cast
+    expected = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"bad value for {name!r}: expected {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
-class EfficiencyGridConfig:
-    noise_levels: tuple[float, ...] = (0.0, 0.2, 0.4, 0.8)
-    training_sizes: tuple[int, ...] = (200, 2000, 20000)
-    runs: int = 10
+class GridConfig:
+    """The fields and checks both grids share; a grid subclass adds its axes and cells().
+
+    Each field is cast to its declared type, so a config built in Python
+    gets the checks a config file gets: booleans, non-integral integers,
+    non-finite numbers and empty or non-list sequences raise a ValueError
+    naming the field.  cells() lists the grid's
+    (experiment, noise, ratio, train_size, run, cell_seed) tuples.
+    """
+
+    noise_levels: tuple[float, ...]
+    runs: int
+    base_seed: int
     test_size: int = 20000
     separation_scale: float = 2.5
-    base_seed: int = 20250
     epochs: int = 40
     batch_size: int = 32
     learning_rate: float = 0.05
     momentum: float = 0.9
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_levels", tuple(float(v) for v in self.noise_levels))
-        object.__setattr__(self, "training_sizes", tuple(int(v) for v in self.training_sizes))
-        _check_grid_common(self)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if typing.get_origin(field.type) is tuple:
+                if not isinstance(value, (list, tuple)) or not value:
+                    raise ValueError(f"bad value for {field.name!r}: expected a non-empty list "
+                                     f"of numbers, got {value!r}")
+                kind = typing.get_args(field.type)[0]
+                value = tuple(_checked_number(field.name, kind, v) for v in value)
+            else:
+                value = _checked_number(field.name, field.type, value)
+            object.__setattr__(self, field.name, value)
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.test_size < 1:
+            raise ValueError(f"test_size must be >= 1, got {self.test_size}")
+        if not self.separation_scale > 0.0:
+            raise ValueError(f"separation_scale must be > 0, got {self.separation_scale}")
         for n in self.noise_levels:
-            NoiseParams(n / 2.0, n / 2.0)  # rejects n outside [0, 1)
-        if not self.training_sizes or any(s < 1 for s in self.training_sizes):
-            raise ValueError(f"training_sizes must be >= 1, got {self.training_sizes}")
+            _noise_for_ratio(n, 1.0)  # rejects n outside [0, 1)
+        mlp.TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
+                        learning_rate=self.learning_rate, momentum=self.momentum)
 
 
 @dataclass(frozen=True)
-class FlipRatioGridConfig:
+class EfficiencyGridConfig(GridConfig):
+    noise_levels: tuple[float, ...] = (0.0, 0.2, 0.4, 0.8)
+    training_sizes: tuple[int, ...] = (200, 2000, 20000)
+    runs: int = 10
+    base_seed: int = 20250
+
+    def __post_init__(self):
+        super().__post_init__()
+        if any(s < 1 for s in self.training_sizes):
+            raise ValueError(f"training_sizes must be >= 1, got {self.training_sizes}")
+
+    def cells(self) -> list[tuple]:
+        # symmetric split; the (undefined) 0/0 ratio at n=0 is reported as 1.0 too
+        return [("efficiency", _noise_for_ratio(n, 1.0), 1.0, size, run,
+                 derive_seed(self.base_seed, "efficiency", n, size, run))
+                for n in self.noise_levels
+                for size in self.training_sizes
+                for run in range(self.runs)]
+
+
+@dataclass(frozen=True)
+class FlipRatioGridConfig(GridConfig):
     noise_levels: tuple[float, ...] = (0.1, 0.4)
     flip_ratios: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
     runs: int = 20
     train_size: int = 4000
-    test_size: int = 20000
-    separation_scale: float = 2.5
     base_seed: int = 20251
-    epochs: int = 40
-    batch_size: int = 32
-    learning_rate: float = 0.05
-    momentum: float = 0.9
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_levels", tuple(float(v) for v in self.noise_levels))
-        object.__setattr__(self, "flip_ratios", tuple(float(v) for v in self.flip_ratios))
-        _check_grid_common(self)
+        super().__post_init__()
         if self.train_size < 1:
             raise ValueError(f"train_size must be >= 1, got {self.train_size}")
-        if not self.flip_ratios or any(not r > 0.0 for r in self.flip_ratios):
+        if any(not r > 0.0 for r in self.flip_ratios):
             raise ValueError(f"flip_ratios must be > 0, got {self.flip_ratios}")
         for n in self.noise_levels:
             for r in self.flip_ratios:
                 _noise_for_ratio(n, r)  # rejects any (n, ratio) with invalid flip rates
 
-
-def _check_grid_common(cfg) -> None:
-    if not cfg.noise_levels:
-        raise ValueError("noise_levels must not be empty")
-    if cfg.runs < 1:
-        raise ValueError(f"runs must be >= 1, got {cfg.runs}")
-    if cfg.test_size < 1:
-        raise ValueError(f"test_size must be >= 1, got {cfg.test_size}")
-    if not cfg.separation_scale > 0.0:
-        raise ValueError(f"separation_scale must be > 0, got {cfg.separation_scale}")
-    mlp.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                    learning_rate=cfg.learning_rate, momentum=cfg.momentum)
+    def cells(self) -> list[tuple]:
+        return [("flip-ratio", _noise_for_ratio(n, ratio), ratio, self.train_size, run,
+                 derive_seed(self.base_seed, "flip-ratio", n, ratio, run))
+                for n in self.noise_levels
+                for ratio in self.flip_ratios
+                for run in range(self.runs)]
 
 
 @dataclass(frozen=True)
@@ -160,10 +204,11 @@ def _run_cell(cfg, experiment: str, noise: NoiseParams, ratio: float,
                      train_size, run, threshold, acc_corrected, acc_naive, ceiling, cell_seed)
 
 
-def _run_grid(cfg, cells: list[tuple], jobs: int) -> list[ResultRow]:
-    """Run _run_cell over (experiment, noise, ratio, train_size, run, cell_seed) tuples."""
+def run_grid(cfg: GridConfig, jobs: int = 1) -> list[ResultRow]:
+    """Run every cell of cfg.cells() on jobs worker processes; rows come back sorted."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    cells = cfg.cells()
     if jobs == 1:
         rows = [_run_cell(cfg, *c) for c in cells]
     else:
@@ -173,23 +218,7 @@ def _run_grid(cfg, cells: list[tuple], jobs: int) -> list[ResultRow]:
     return rows
 
 
-def run_efficiency_grid(cfg: EfficiencyGridConfig, jobs: int = 1) -> list[ResultRow]:
-    # symmetric split; the (undefined) 0/0 ratio at n=0 is reported as 1.0 too
-    cells = [("efficiency", NoiseParams(n / 2.0, n / 2.0), 1.0, size, run,
-              derive_seed(cfg.base_seed, "efficiency", n, size, run))
-             for n in cfg.noise_levels
-             for size in cfg.training_sizes
-             for run in range(cfg.runs)]
-    return _run_grid(cfg, cells, jobs)
-
-
-def run_flip_ratio_grid(cfg: FlipRatioGridConfig, jobs: int = 1) -> list[ResultRow]:
-    cells = [("flip-ratio", _noise_for_ratio(n, ratio), ratio, cfg.train_size, run,
-              derive_seed(cfg.base_seed, "flip-ratio", n, ratio, run))
-             for n in cfg.noise_levels
-             for ratio in cfg.flip_ratios
-             for run in range(cfg.runs)]
-    return _run_grid(cfg, cells, jobs)
+run_efficiency_grid = run_flip_ratio_grid = run_grid  # the presets' names for the one runner
 
 
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:

@@ -20,11 +20,6 @@ import numpy as np
 from .calculus import logistic
 from .seeding import make_rng
 
-# name -> (activation, derivative expressed in terms of the activation output)
-_ACTIVATIONS = {
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-}
-
 _PROB_LO = np.nextafter(0.0, 1.0)
 _PROB_HI = np.nextafter(1.0, 0.0)
 
@@ -41,11 +36,10 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer plan: input width, hidden widths, named hidden activation; output is 1 score."""
+    """Layer plan: input width, tanh hidden layer widths; output is 1 score."""
 
     input_dim: int = 2
     hidden_sizes: tuple[int, ...] = (15, 15)
-    hidden_activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -54,9 +48,6 @@ class Architecture:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
-        if self.hidden_activation not in _ACTIVATIONS:
-            known = ", ".join(sorted(_ACTIVATIONS))
-            raise ValueError(f"unknown activation {self.hidden_activation!r} (known: {known})")
 
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_sizes, 1)
@@ -119,12 +110,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.early_stop_tol is not None and not self.early_stop_tol >= 0.0:
             raise ValueError(f"early_stop_tol must be >= 0, got {self.early_stop_tol}")
         if not 0 <= self.average_tail <= self.epochs:
@@ -171,12 +162,11 @@ def _as_batch(params: MlpParams, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _forward_stack(act_name: str, weights, biases, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    act, _ = _ACTIVATIONS[act_name]
+def _forward_stack(weights, biases, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     a = x
     stack = [a]
     for w, b in zip(weights[:-1], biases[:-1]):
-        a = act(a @ w + b)
+        a = np.tanh(a @ w + b)
         stack.append(a)
     s = (a @ weights[-1] + biases[-1])[:, 0]
     return stack, s
@@ -185,7 +175,7 @@ def _forward_stack(act_name: str, weights, biases, x: np.ndarray) -> tuple[list[
 def score(params: MlpParams, x):
     """Raw pre-sigmoid output; one point (input_dim,) -> float, batch (m, input_dim) -> (m,)."""
     x, single = _as_batch(params, x)
-    _, s = _forward_stack(params.arch.hidden_activation, params.weights, params.biases, x)
+    _, s = _forward_stack(params.weights, params.biases, x)
     return float(s[0]) if single else s
 
 
@@ -222,13 +212,12 @@ def loss(params: MlpParams, x, targets) -> float:
     if x.shape[0] == 0:
         raise ValueError("loss needs at least one sample")
     t = _as_targets(targets, x.shape[0])
-    _, s = _forward_stack(params.arch.hidden_activation, params.weights, params.biases, x)
+    _, s = _forward_stack(params.weights, params.biases, x)
     return float(np.mean(_softplus(s) - t * s))
 
 
-def _loss_and_grads(act_name: str, weights, biases, x: np.ndarray, t: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    _, dact = _ACTIVATIONS[act_name]
-    stack, s = _forward_stack(act_name, weights, biases, x)
+def _loss_and_grads(weights, biases, x: np.ndarray, t: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    stack, s = _forward_stack(weights, biases, x)
     m = x.shape[0]
     batch_loss = float(np.mean(_softplus(s) - t * s))
 
@@ -241,7 +230,8 @@ def _loss_and_grads(act_name: str, weights, biases, x: np.ndarray, t: np.ndarray
     gb[-1] = delta.sum(axis=0)
     back = delta @ weights[-1].T
     for layer in range(n_layers - 2, -1, -1):
-        dh = back * dact(stack[layer + 1])
+        a = stack[layer + 1]
+        dh = back * (1.0 - a * a)  # tanh' in terms of the tanh output
         gw[layer] = stack[layer].T @ dh
         gb[layer] = dh.sum(axis=0)
         if layer:
@@ -255,7 +245,7 @@ def grad(params: MlpParams, x, targets) -> Gradients:
     if x.shape[0] == 0:
         raise ValueError("grad needs at least one sample")
     t = _as_targets(targets, x.shape[0])
-    _, gw, gb = _loss_and_grads(params.arch.hidden_activation, params.weights, params.biases, x, t)
+    _, gw, gb = _loss_and_grads(params.weights, params.biases, x, t)
     return Gradients(tuple(gw), tuple(gb))
 
 
@@ -285,7 +275,6 @@ def train(x, targets, arch: Architecture = Architecture(), cfg: TrainConfig = Tr
     vel_b = [np.zeros_like(b) for b in biases]
     shuffle_rng = make_rng(cfg.init_seed, "mlp-shuffle")
 
-    act_name = arch.hidden_activation
     epoch_losses: list[float] = []
     avg_w = avg_b = None
     averaged = 0
@@ -294,7 +283,7 @@ def train(x, targets, arch: Architecture = Architecture(), cfg: TrainConfig = Tr
         running = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch_loss, gw, gb = _loss_and_grads(act_name, weights, biases, x[idx], t[idx])
+            batch_loss, gw, gb = _loss_and_grads(weights, biases, x[idx], t[idx])
             running += batch_loss * idx.size
             for i in range(len(weights)):
                 step_w = gw[i] if cfg.weight_decay == 0.0 else gw[i] + cfg.weight_decay * weights[i]
@@ -357,7 +346,7 @@ def classify(params: MlpParams, x, threshold: float = 0.5):
 
 def save_model(params: MlpParams, path) -> None:
     """Text dump of architecture + parameters; floats use repr (exact round trip)."""
-    lines = [_MODEL_MAGIC, f"activation {params.arch.hidden_activation}",
+    lines = [_MODEL_MAGIC, "activation tanh",
              "sizes " + " ".join(str(s) for s in params.arch.layer_sizes())]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         lines.append(f"W{i} {w.shape[0]} {w.shape[1]}")
@@ -391,11 +380,8 @@ def load_model(path) -> MlpParams:
 
     if not lines or lines[0] != _MODEL_MAGIC:
         fail(1, f"expected header {_MODEL_MAGIC!r}")
-    if len(lines) < 3 or not lines[1].startswith("activation "):
-        fail(2, "expected 'activation <name>'")
-    activation = lines[1].split(" ", 1)[1]
-    if activation not in _ACTIVATIONS:
-        fail(2, f"unknown activation {activation!r}")
+    if len(lines) < 3 or lines[1] != "activation tanh":
+        fail(2, "expected 'activation tanh', the only hidden activation")
     if not lines[2].startswith("sizes "):
         fail(3, "expected 'sizes <n> <n> ...'")
     try:
@@ -404,7 +390,7 @@ def load_model(path) -> MlpParams:
         fail(3, str(exc))
     if len(sizes) < 2 or sizes[-1] != 1 or min(sizes) < 1:
         fail(3, f"layer sizes must be >= 1 and end with 1, got {sizes}")
-    arch = Architecture(sizes[0], sizes[1:-1], activation)
+    arch = Architecture(sizes[0], sizes[1:-1])
 
     weights = []
     biases = []

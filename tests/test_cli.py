@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +213,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "bernoulli", "--p", "0.5", "--gamma1", "0.1", "--gamma0", "0.1",
                    "--count", "0")[0] == 2
     assert run_cli(capsys, "fig3", "--outdir", str(tmp_path), "--jobs", "0")[0] == 2
+    assert run_cli(capsys, "train", "--data", str(tmp_path / "absent.csv"), "--out",
+                   str(tmp_path / "m.txt"), "--weight-decay", "nan")[0] == 2
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
 
@@ -221,10 +225,20 @@ def test_version_flag_exits_cleanly(capsys):
 
 
 def test_console_script_is_installed():
-    proc = subprocess.run([sys.executable, "-m", "labelnoise.cli"],
-                          capture_output=True, text=True)
-    # module is importable; the entry point itself is exercised in-process above
-    assert proc.returncode in (0, 1, 2)
+    # `python -m labelnoise.cli` runs main() from a checkout, the way the `labelnoise` script does
+    src = str(Path(mlp.__file__).resolve().parents[1])  # where labelnoise is imported from
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "labelnoise.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    proc = module_run()
+    assert proc.returncode == 2
+    assert "usage: labelnoise" in proc.stderr
+    proc = module_run("threshold", "--gamma1", "0.3", "--gamma0", "0.1")
+    assert proc.returncode == 0
+    assert any(line.startswith("basic_threshold ") for line in proc.stdout.splitlines())
 
 
 # ------------------------------------------------------------------- figures

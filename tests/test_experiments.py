@@ -11,6 +11,7 @@ from labelnoise.experiments import (
     ResultRow,
     run_efficiency_grid,
     run_flip_ratio_grid,
+    run_grid,
     summarize,
     write_results_csv,
     write_summary_csv,
@@ -105,6 +106,10 @@ def test_rerunning_a_grid_writes_identical_csv_bytes(tmp_path):
     write_results_csv(run_efficiency_grid(cfg, jobs=1), first)
     write_results_csv(run_efficiency_grid(cfg, jobs=2), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_both_presets_have_the_one_runner():
+    assert run_efficiency_grid is run_flip_ratio_grid is run_grid
 
 
 def test_grid_rejects_bad_job_counts():
@@ -222,3 +227,23 @@ def test_configs_normalize_sequences_to_tuples():
     cfg = tiny_efficiency(noise_levels=[0.0, 0.2], training_sizes=[50])
     assert cfg.noise_levels == (0.0, 0.2)
     assert cfg.training_sizes == (50,)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: tiny_efficiency(runs=2.5), "runs"),
+    (lambda: tiny_efficiency(runs=True), "runs"),
+    (lambda: tiny_efficiency(training_sizes=(100.7,)), "training_sizes"),
+    (lambda: tiny_flip_ratio(flip_ratios="12"), "flip_ratios"),
+    (lambda: tiny_efficiency(learning_rate=math.inf), "learning_rate"),
+    (lambda: tiny_flip_ratio(noise_levels=()), "noise_levels"),
+], ids=["fractional-runs", "bool-runs", "fractional-size", "string-ratios", "infinite-rate",
+        "no-noise-levels"])
+def test_python_built_configs_get_the_config_file_checks(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_configs_cast_integral_floats_to_int():
+    cfg = EfficiencyGridConfig(base_seed=20250.0)
+    assert cfg == EfficiencyGridConfig(base_seed=20250)
+    assert type(cfg.base_seed) is int
