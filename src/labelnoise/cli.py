@@ -12,12 +12,15 @@ Subcommands:
 
 Batch-only by design: every run reads flags/config, writes its outputs plus
 a JSON manifest, and exits.  Usage and config errors exit 2; runtime
-failures (missing/malformed files, diverged training) exit 1.
+failures (missing/malformed files, diverged training) exit 1, and so does
+a stdout its reader closed early, silently.
 """
 
 import argparse
 import dataclasses
 import json
+import os
+import select
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -197,11 +200,6 @@ def _load_grid_config(cls, path):
         raise ConfigError(f"config {path}: {exc}") from None
 
 
-def _config_as_dict(cfg) -> dict:
-    out = dataclasses.asdict(cfg)
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
-
-
 def _chart_series(summary, x_field: str):
     by_n: dict[float, list] = {}
     for row in summary:
@@ -234,7 +232,7 @@ def cmd_figure(args) -> int:
         raise UsageError("--outdir is required (unless --print-config)")
     cfg = _load_grid_config(cls, args.config)
     if args.print_config:
-        print(json.dumps(_config_as_dict(cfg), indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
         return 0
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
@@ -252,7 +250,7 @@ def cmd_figure(args) -> int:
         chart_path, _chart_series(summary, x_field),
         title=title, x_label=x_label, y_label="mean accuracy on clean labels", x_log=x_log)
     manifest_path = outdir / f"{name}_manifest.json"
-    _write_manifest(manifest_path, name, _config_as_dict(cfg),
+    _write_manifest(manifest_path, name, dataclasses.asdict(cfg),
                     [str(results_path), str(summary_path), str(chart_path)], started)
     for row in summary:
         print(f"n={row.n:g} ratio={row.ratio:g} size={row.train_size} "
@@ -358,21 +356,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_reader_gone() -> bool:
+    """Whether stdout is a pipe whose reader has closed it (poll reports an error on it)."""
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout, select.POLLOUT)
+        return any(events & select.POLLERR for _, events in poller.poll(0))
+    except (AttributeError, OSError, ValueError):  # no poll here, or stdout is no file
+        return False
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
     except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
-    try:
-        return args.func(args)
+        code = 0 if exc.code in (0, None) else int(exc.code)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except (synthdata.DatasetFormatError, mlp.ModelFormatError, mlp.TrainingDivergedError,
             OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if not (isinstance(exc, BrokenPipeError) and _stdout_reader_gone()):
+            print(f"error: {exc}", file=sys.stderr)  # a reader that left early is no error
+        code = 1
+    try:
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit flush
+    except BrokenPipeError:
+        code = code or 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush cannot fail
+    return code
 
 
 if __name__ == "__main__":

@@ -8,14 +8,15 @@ Two grids, each a ``GridConfig`` preset that ``run_grid`` runs:
   gamma1) at a fixed training size: how much does the corrected decision
   threshold buy over the naive 0.5?
 
-Every cell samples a random problem, corrupts the training labels, trains a
-fresh network on the observed labels, and scores it on clean-labeled test
-data at both the corrected and the naive threshold, next to the
-optimal-rule ceiling.  The problem and the test set depend only on
-(base_seed, run), so all cells of a run are paired and their differences
-are common-random-number comparisons; training data, flips and
-initialization are per-cell.  Cells are pure functions of (config,
-coordinates), which makes grids safe to fan out over a process pool and
+Each run draws one random problem, one clean-labeled test set and its
+optimal-rule ceiling from (base_seed, run).  Every cell of the run then
+corrupts its training labels, trains a fresh network on the observed
+labels, and scores it on that test set at both the corrected and the naive
+threshold, so all cells of a run are paired and their differences are
+common-random-number comparisons; training data, flips and initialization
+are per-cell.  A cell is a pure function of (config, run, coordinates),
+which makes grids safe to fan out over a process pool, one cell per task
+and run after run so that each process draws a run's world once, and
 keeps the output byte-identical for any --jobs value.
 """
 
@@ -23,6 +24,7 @@ import math
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -53,13 +55,13 @@ def _checked_number(name: str, kind: type, value):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """The fields and checks both grids share; a grid subclass adds its axes and cells().
+    """The fields and checks both grids share; a grid subclass adds its axes and cells(run).
 
     Each field is cast to its declared type, so a config built in Python
     gets the checks a config file gets: booleans, non-integral integers,
     non-finite numbers and empty or non-list sequences raise a ValueError
-    naming the field.  cells() lists the grid's
-    (experiment, noise, ratio, train_size, run, cell_seed) tuples.
+    naming the field.  cells(run) lists one run's
+    (experiment, noise, ratio, train_size, cell_seed) tuples.
     """
 
     noise_levels: tuple[float, ...]
@@ -108,13 +110,12 @@ class EfficiencyGridConfig(GridConfig):
         if any(s < 1 for s in self.training_sizes):
             raise ValueError(f"training_sizes must be >= 1, got {self.training_sizes}")
 
-    def cells(self) -> list[tuple]:
+    def cells(self, run: int) -> list[tuple]:
         # symmetric split; the (undefined) 0/0 ratio at n=0 is reported as 1.0 too
-        return [("efficiency", _noise_for_ratio(n, 1.0), 1.0, size, run,
+        return [("efficiency", _noise_for_ratio(n, 1.0), 1.0, size,
                  derive_seed(self.base_seed, "efficiency", n, size, run))
                 for n in self.noise_levels
-                for size in self.training_sizes
-                for run in range(self.runs)]
+                for size in self.training_sizes]
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,11 @@ class FlipRatioGridConfig(GridConfig):
             for r in self.flip_ratios:
                 _noise_for_ratio(n, r)  # rejects any (n, ratio) with invalid flip rates
 
-    def cells(self) -> list[tuple]:
-        return [("flip-ratio", _noise_for_ratio(n, ratio), ratio, self.train_size, run,
+    def cells(self, run: int) -> list[tuple]:
+        return [("flip-ratio", _noise_for_ratio(n, ratio), ratio, self.train_size,
                  derive_seed(self.base_seed, "flip-ratio", n, ratio, run))
                 for n in self.noise_levels
-                for ratio in self.flip_ratios
-                for run in range(self.runs)]
+                for ratio in self.flip_ratios]
 
 
 @dataclass(frozen=True)
@@ -181,39 +181,44 @@ def _accuracy(pred: np.ndarray, y_clean: np.ndarray) -> float:
     return float((pred == y_clean).mean())
 
 
-def _run_cell(cfg, experiment: str, noise: NoiseParams, ratio: float,
-              train_size: int, run: int, cell_seed: int) -> ResultRow:
-    priors = ClassPriors(0.5)
+@lru_cache(maxsize=1)  # cells come run-major, so each process draws each run's world once
+def _world(cfg: GridConfig, run: int):
+    """The run's problem, clean-labeled test set and optimal-rule ceiling on it."""
     problem = synthdata.make_random_problem(
-        derive_seed(cfg.base_seed, "problem", run), cfg.separation_scale, priors.p1)
+        derive_seed(cfg.base_seed, "problem", run), cfg.separation_scale, ClassPriors(0.5).p1)
+    test = synthdata.sample_dataset(problem, cfg.test_size, derive_seed(cfg.base_seed, "test", run))
+    return problem, test, synthdata.bayes_accuracy(problem, test)
+
+
+def _run_cell(cfg: GridConfig, task: tuple) -> ResultRow:
+    run, (experiment, noise, ratio, train_size, cell_seed) = task
+    problem, test, ceiling = _world(cfg, run)
     clean_train = synthdata.sample_dataset(problem, train_size, derive_seed(cell_seed, "train"))
     noisy_train = synthdata.flip_labels(clean_train, noise, derive_seed(cell_seed, "flip"))
-
     tcfg = mlp.TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
         momentum=cfg.momentum, init_seed=derive_seed(cell_seed, "init"))
     result = mlp.train(noisy_train.x, noisy_train.z_observed, mlp.Architecture(), tcfg)
-
-    test = synthdata.sample_dataset(problem, cfg.test_size, derive_seed(cfg.base_seed, "test", run))
+    priors = ClassPriors(0.5)
     threshold = threshold_from_priors(priors, propagate_priors(priors, noise))
     acc_corrected = _accuracy(mlp.classify(result.params, test.x, threshold), test.y_clean)
     acc_naive = (acc_corrected if threshold == 0.5 else
                  _accuracy(mlp.classify(result.params, test.x, 0.5), test.y_clean))
-    ceiling = synthdata.bayes_accuracy(problem, test)
     return ResultRow(experiment, noise.total, noise.gamma1, noise.gamma0, ratio,
                      train_size, run, threshold, acc_corrected, acc_naive, ceiling, cell_seed)
 
 
 def run_grid(cfg: GridConfig, jobs: int = 1) -> list[ResultRow]:
-    """Run every cell of cfg.cells() on jobs worker processes; rows come back sorted."""
+    """Run every cell of cfg on jobs worker processes; rows come back sorted."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cells = cfg.cells()
+    _world.cache_clear()  # a grid draws its own worlds, even when it is run again
+    tasks = [(run, cell) for run in range(cfg.runs) for cell in cfg.cells(run)]
     if jobs == 1:
-        rows = [_run_cell(cfg, *c) for c in cells]
+        rows = [_run_cell(cfg, t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell, repeat(cfg), *zip(*cells), chunksize=1))
+            rows = list(pool.map(_run_cell, repeat(cfg), tasks))
     rows.sort(key=lambda r: (r.n, r.ratio, r.train_size, r.run))
     return rows
 

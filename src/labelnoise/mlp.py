@@ -78,10 +78,6 @@ class MlpParams:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
 
 @dataclass(frozen=True)
 class Gradients:

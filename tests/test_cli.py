@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -224,10 +225,15 @@ def test_version_flag_exits_cleanly(capsys):
     assert code == 0
 
 
+def module_env():
+    """os.environ with the imported labelnoise first on PYTHONPATH, for `python -m labelnoise.cli`."""
+    src = str(Path(mlp.__file__).resolve().parents[1])  # where labelnoise is imported from
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_console_script_is_installed():
     # `python -m labelnoise.cli` runs main() from a checkout, the way the `labelnoise` script does
-    src = str(Path(mlp.__file__).resolve().parents[1])  # where labelnoise is imported from
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = module_env()
 
     def module_run(*argv):
         return subprocess.run([sys.executable, "-m", "labelnoise.cli", *argv],
@@ -239,6 +245,39 @@ def test_console_script_is_installed():
     proc = module_run("threshold", "--gamma1", "0.3", "--gamma0", "0.1")
     assert proc.returncode == 0
     assert any(line.startswith("basic_threshold ") for line in proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_one_and_says_nothing(unbuffered):
+    # a reader that closes the pipe early (`labelnoise ... | head`) is not a runtime failure
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "labelnoise.cli", "bernoulli", "--p", "0.5", "--gamma1", "0.1",
+         "--gamma0", "0.1", "--count", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # long before the child has imported numpy and printed
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr == b""
+
+
+def test_broken_pipe_on_another_file_is_reported(tmp_path):
+    # only a closed stdout is silent: a FIFO whose reader quits is a runtime failure of `gen --out`
+    fifo = tmp_path / "data.csv"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "labelnoise.cli", "gen", "--n", "20000", "--out", str(fifo)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env())
+    select.select([reader], [], [], 60)  # the child has opened the FIFO and written a first block
+    os.close(reader)  # long before the child has written its 20000 rows
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stdout == b""
+    assert stderr.decode().startswith("error: [Errno 32] Broken pipe")
 
 
 # ------------------------------------------------------------------- figures

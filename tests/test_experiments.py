@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from labelnoise import synthdata
 from labelnoise.experiments import (
     RESULTS_FIELDS,
     SUMMARY_FIELDS,
@@ -92,11 +93,32 @@ def test_problem_and_test_set_are_paired_across_cells():
         assert len(ceilings) == 1
 
 
+def test_each_run_draws_its_world_once(monkeypatch):
+    calls = {"make_random_problem": 0, "bayes_accuracy": 0}
+    for name in calls:
+        original = getattr(synthdata, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(synthdata, name, counted)
+    cfg = tiny_efficiency(runs=3)
+    assert len(run_grid(cfg, jobs=1)) == 2 * 2 * 3
+    assert calls == {"make_random_problem": 3, "bayes_accuracy": 3}
+    cfg = tiny_efficiency(runs=1)  # a one-run grid run twice draws its world twice
+    run_grid(cfg, jobs=1)
+    run_grid(cfg, jobs=1)
+    assert calls == {"make_random_problem": 5, "bayes_accuracy": 5}
+
+
 def test_grid_results_do_not_depend_on_worker_count():
     cfg = tiny_flip_ratio()
     assert run_flip_ratio_grid(cfg, jobs=1) == run_flip_ratio_grid(cfg, jobs=2)
     cfg = tiny_efficiency()
     assert run_efficiency_grid(cfg, jobs=1) == run_efficiency_grid(cfg, jobs=3)
+    cfg = tiny_flip_ratio(runs=3)  # each worker scores cells of several runs
+    assert run_flip_ratio_grid(cfg, jobs=1) == run_flip_ratio_grid(cfg, jobs=2)
 
 
 def test_rerunning_a_grid_writes_identical_csv_bytes(tmp_path):
