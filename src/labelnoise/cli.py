@@ -285,8 +285,17 @@ def cmd_bernoulli(args) -> int:
 
 # --------------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write, so `--help` on a closed stdout would exit 0
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="labelnoise",
         description="Binary classification with randomly flipped training labels: "
                     "threshold corrections, synthetic-data studies, rate recovery.")

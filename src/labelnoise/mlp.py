@@ -10,6 +10,13 @@ and "shift the final bias" visibly the same operation.
 
 Everything is plain numpy with hand-written backpropagation, verified
 in the test suite against central finite differences.
+
+Training holds the parameters as one flat float64 vector theta: every
+weight matrix row-major, input layer first, then every bias.  The
+forward and backward passes work on per-layer views of it (``_layers``);
+the gradient, the momentum velocity and the tail-average sum share that
+layout, so each SGD update is a few whole-vector operations.  MlpParams and
+Gradients keep one array per layer.
 """
 
 import math
@@ -146,16 +153,26 @@ def init_params(arch: Architecture, seed: int) -> MlpParams:
     return MlpParams(arch, tuple(weights), tuple(biases))
 
 
-def _as_batch(params: MlpParams, x) -> tuple[np.ndarray, bool]:
+def _as_batch(input_dim: int, x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != params.arch.input_dim:
-        raise ValueError(f"inputs must have shape (m, {params.arch.input_dim}) or ({params.arch.input_dim},), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != input_dim:
+        raise ValueError(f"inputs must have shape (m, {input_dim}) or ({input_dim},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
     return x, single
+
+
+def _layers(arch: Architecture, theta: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer (weights, biases) views of a flat vector: every weight matrix, then every bias."""
+    sizes = arch.layer_sizes()
+    views, at = [], 0
+    for shape in [*zip(sizes[:-1], sizes[1:]), *((fan_out,) for fan_out in sizes[1:])]:
+        views.append(theta[at:at + math.prod(shape)].reshape(shape))
+        at += math.prod(shape)
+    return tuple(views[:len(sizes) - 1]), tuple(views[len(sizes) - 1:])
 
 
 def _forward_stack(weights, biases, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -170,7 +187,7 @@ def _forward_stack(weights, biases, x: np.ndarray) -> tuple[list[np.ndarray], np
 
 def score(params: MlpParams, x):
     """Raw pre-sigmoid output; one point (input_dim,) -> float, batch (m, input_dim) -> (m,)."""
-    x, single = _as_batch(params, x)
+    x, single = _as_batch(params.arch.input_dim, x)
     _, s = _forward_stack(params.weights, params.biases, x)
     return float(s[0]) if single else s
 
@@ -204,7 +221,7 @@ def loss(params: MlpParams, x, targets) -> float:
     but never takes the log of a rounded probability, so saturated scores
     give exact losses (including exactly 0 at a perfect fit).
     """
-    x, _ = _as_batch(params, x)
+    x, _ = _as_batch(params.arch.input_dim, x)
     if x.shape[0] == 0:
         raise ValueError("loss needs at least one sample")
     t = _as_targets(targets, x.shape[0])
@@ -212,37 +229,36 @@ def loss(params: MlpParams, x, targets) -> float:
     return float(np.mean(_softplus(s) - t * s))
 
 
-def _loss_and_grads(weights, biases, x: np.ndarray, t: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+def _loss_and_grads(arch: Architecture, weights, biases, x: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
     stack, s = _forward_stack(weights, biases, x)
     m = x.shape[0]
     batch_loss = float(np.mean(_softplus(s) - t * s))
 
-    n_layers = len(weights)
-    gw: list = [None] * n_layers
-    gb: list = [None] * n_layers
+    g = np.empty(sum(a.size for a in weights + biases))  # the flat layout of _layers
+    gw, gb = _layers(arch, g)
     # d(mean loss)/d(score) = (sigmoid(s) - t) / m
     delta = ((sigmoid(s) - t) / m)[:, None]
-    gw[-1] = stack[-1].T @ delta
-    gb[-1] = delta.sum(axis=0)
+    np.matmul(stack[-1].T, delta, out=gw[-1])
+    np.sum(delta, axis=0, out=gb[-1])
     back = delta @ weights[-1].T
-    for layer in range(n_layers - 2, -1, -1):
+    for layer in range(len(weights) - 2, -1, -1):
         a = stack[layer + 1]
         dh = back * (1.0 - a * a)  # tanh' in terms of the tanh output
-        gw[layer] = stack[layer].T @ dh
-        gb[layer] = dh.sum(axis=0)
+        np.matmul(stack[layer].T, dh, out=gw[layer])
+        np.sum(dh, axis=0, out=gb[layer])
         if layer:
             back = dh @ weights[layer].T
-    return batch_loss, gw, gb
+    return batch_loss, g
 
 
 def grad(params: MlpParams, x, targets) -> Gradients:
     """Exact gradient of ``loss`` w.r.t. every weight and bias (backprop)."""
-    x, _ = _as_batch(params, x)
+    x, _ = _as_batch(params.arch.input_dim, x)
     if x.shape[0] == 0:
         raise ValueError("grad needs at least one sample")
     t = _as_targets(targets, x.shape[0])
-    _, gw, gb = _loss_and_grads(params.weights, params.biases, x, t)
-    return Gradients(tuple(gw), tuple(gb))
+    _, g = _loss_and_grads(params.arch, params.weights, params.biases, x, t)
+    return Gradients(*_layers(params.arch, g))
 
 
 def train(x, targets, arch: Architecture = Architecture(), cfg: TrainConfig = TrainConfig()) -> TrainResult:
@@ -254,51 +270,40 @@ def train(x, targets, arch: Architecture = Architecture(), cfg: TrainConfig = Tr
     the per-batch losses. Raises TrainingDivergedError when an epoch loss
     stops being finite.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != arch.input_dim:
-        raise ValueError(f"training features must have shape (n, {arch.input_dim}), got {x.shape}")
+    x, _ = _as_batch(arch.input_dim, x)
     n = x.shape[0]
     if n < 1:
         raise ValueError("training needs at least one sample")
-    if not np.isfinite(x).all():
-        raise ValueError("training features must be finite")
     t = _as_targets(targets, n)
 
-    params = init_params(arch, cfg.init_seed)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    init = init_params(arch, cfg.init_seed)
+    theta = np.concatenate([w.ravel() for w in init.weights] + list(init.biases))
+    weights, biases = _layers(arch, theta)  # views: they follow every update of theta
+    n_weights = sum(w.size for w in weights)
+    velocity = np.zeros_like(theta)
+    tail = np.full_like(theta, -0.0)  # -0.0 + p is p bit for bit, for p = +0.0 too
     shuffle_rng = make_rng(cfg.init_seed, "mlp-shuffle")
 
     epoch_losses: list[float] = []
-    avg_w = avg_b = None
     averaged = 0
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         running = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch_loss, gw, gb = _loss_and_grads(weights, biases, x[idx], t[idx])
+            batch_loss, g = _loss_and_grads(arch, weights, biases, x[idx], t[idx])
             running += batch_loss * idx.size
-            for i in range(len(weights)):
-                step_w = gw[i] if cfg.weight_decay == 0.0 else gw[i] + cfg.weight_decay * weights[i]
-                vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * step_w
-                vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * gb[i]
-                weights[i] += vel_w[i]
-                biases[i] += vel_b[i]
+            if cfg.weight_decay:
+                g[:n_weights] += cfg.weight_decay * theta[:n_weights]
+            velocity *= cfg.momentum
+            velocity -= cfg.learning_rate * g
+            theta += velocity
         epoch_loss = running / n
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(f"epoch {epoch + 1}: training loss is {epoch_loss}")
         epoch_losses.append(epoch_loss)
-        if cfg.average_tail and epoch >= cfg.epochs - cfg.average_tail:
-            if avg_w is None:
-                avg_w = [w.copy() for w in weights]
-                avg_b = [b.copy() for b in biases]
-            else:
-                for i in range(len(weights)):
-                    avg_w[i] += weights[i]
-                    avg_b[i] += biases[i]
+        if epoch >= cfg.epochs - cfg.average_tail:
+            tail += theta
             averaged += 1
         if (
             cfg.early_stop_tol is not None
@@ -307,9 +312,8 @@ def train(x, targets, arch: Architecture = Architecture(), cfg: TrainConfig = Tr
         ):
             break
     if averaged:
-        weights = [w / averaged for w in avg_w]
-        biases = [b / averaged for b in avg_b]
-    return TrainResult(MlpParams(arch, tuple(w.copy() for w in weights), tuple(b.copy() for b in biases)), tuple(epoch_losses))
+        theta = tail / averaged
+    return TrainResult(MlpParams(arch, *_layers(arch, theta)), tuple(epoch_losses))
 
 
 def shift_bias(params: MlpParams, delta: float) -> MlpParams:
@@ -356,8 +360,13 @@ def save_model(params: MlpParams, path) -> None:
 
 def load_model(path) -> MlpParams:
     """Inverse of save_model; bad files raise ModelFormatError with a line number."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ModelFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
 
     def fail(lineno: int, why: str):
         raise ModelFormatError(f"line {lineno}: {why}")

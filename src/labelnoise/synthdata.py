@@ -314,7 +314,8 @@ def _parse_dataset_csv(reader) -> Dataset:
         raise DatasetFormatError(
             f"line 1: expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
         )
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # a quoted field may span physical lines
         if not row:
             continue
         if len(row) != 4:

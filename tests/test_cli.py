@@ -247,16 +247,23 @@ def test_console_script_is_installed():
     assert any(line.startswith("basic_threshold ") for line in proc.stdout.splitlines())
 
 
-@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_one_and_says_nothing(unbuffered):
+BERNOULLI_ARGV = ["bernoulli", "--p", "0.5", "--gamma1", "0.1", "--gamma0", "0.1", "--count", "10"]
+
+
+@pytest.mark.parametrize("unbuffered, argv", [
+    pytest.param("1", BERNOULLI_ARGV, id="unbuffered"),
+    pytest.param(None, BERNOULLI_ARGV, id="buffered"),
+    pytest.param("1", ["--help"], id="unbuffered-help"),  # argparse's own write drops the error
+    pytest.param(None, ["--help"], id="buffered-help"),
+])
+def test_closed_stdout_exits_one_and_says_nothing(unbuffered, argv):
     # a reader that closes the pipe early (`labelnoise ... | head`) is not a runtime failure
     env = module_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
-        [sys.executable, "-m", "labelnoise.cli", "bernoulli", "--p", "0.5", "--gamma1", "0.1",
-         "--gamma0", "0.1", "--count", "10"],
+        [sys.executable, "-m", "labelnoise.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()  # long before the child has imported numpy and printed
     _, stderr = proc.communicate(timeout=60)

@@ -300,6 +300,114 @@ def test_train_tail_average_of_one_equals_plain_final_params():
         assert np.array_equal(a, b)
 
 
+def reference_backprop(weights, biases, x, t):
+    """Per-layer forward and backward pass: (mean loss, weight grads, bias grads)."""
+    stack = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        stack.append(np.tanh(stack[-1] @ w + b))
+    s = (stack[-1] @ weights[-1] + biases[-1])[:, 0]
+    batch_loss = float(np.mean(np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))) - t * s))
+    gw = [None] * len(weights)
+    gb = [None] * len(weights)
+    delta = ((sigmoid(s) - t) / x.shape[0])[:, None]
+    gw[-1] = stack[-1].T @ delta
+    gb[-1] = delta.sum(axis=0)
+    back = delta @ weights[-1].T
+    for layer in range(len(weights) - 2, -1, -1):
+        a = stack[layer + 1]
+        dh = back * (1.0 - a * a)
+        gw[layer] = stack[layer].T @ dh
+        gb[layer] = dh.sum(axis=0)
+        if layer:
+            back = dh @ weights[layer].T
+    return batch_loss, gw, gb
+
+
+def reference_train(x, t, arch, cfg):
+    """Mini-batch SGD with momentum, one layer at a time: (weights, biases, epoch losses)."""
+    params = init_params(arch, cfg.init_seed)
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    shuffle_rng = make_rng(cfg.init_seed, "mlp-shuffle")
+    n = x.shape[0]
+    epoch_losses = []
+    avg_w = avg_b = None
+    averaged = 0
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        running = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            batch_loss, gw, gb = reference_backprop(weights, biases, x[idx], t[idx])
+            running += batch_loss * idx.size
+            for i in range(len(weights)):
+                step_w = gw[i] if cfg.weight_decay == 0.0 else gw[i] + cfg.weight_decay * weights[i]
+                vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * step_w
+                vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * gb[i]
+                weights[i] += vel_w[i]
+                biases[i] += vel_b[i]
+        epoch_losses.append(running / n)
+        if cfg.average_tail and epoch >= cfg.epochs - cfg.average_tail:
+            if avg_w is None:
+                avg_w = [w.copy() for w in weights]
+                avg_b = [b.copy() for b in biases]
+            else:
+                for i in range(len(weights)):
+                    avg_w[i] += weights[i]
+                    avg_b[i] += biases[i]
+            averaged += 1
+        if cfg.early_stop_tol is not None and epoch > 0 and epoch_losses[-2] - epoch_losses[-1] < cfg.early_stop_tol:
+            break
+    if averaged:
+        weights = [w / averaged for w in avg_w]
+        biases = [b / averaged for b in avg_b]
+    return weights, biases, tuple(epoch_losses)
+
+
+def same_bits(arrays, expected):
+    return len(arrays) == len(expected) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(arrays, expected))
+
+
+@pytest.mark.parametrize("hidden, kwargs", [
+    pytest.param((15, 15), dict(), id="plain"),
+    pytest.param((4,), dict(weight_decay=1e-2), id="weight-decay"),
+    pytest.param((5, 4, 3), dict(average_tail=3), id="tail-average"),
+    pytest.param((15, 15), dict(epochs=30, early_stop_tol=2e-3), id="early-stop"),
+    pytest.param((3,), dict(batch_size=1, epochs=2), id="batch-1"),
+    pytest.param((4, 3), dict(batch_size=120), id="full-batch"),
+    pytest.param((6, 5, 4), dict(epochs=12, batch_size=7, momentum=0.0, weight_decay=1e-3,
+                                 average_tail=4, early_stop_tol=1e-4), id="everything"),
+])
+def test_train_matches_the_per_layer_reference_bit_for_bit(hidden, kwargs):
+    problem = make_random_problem(80, 2.5)
+    data = flip_labels(sample_dataset(problem, 120, 81), NoiseParams(0.3, 0.1), 82)
+    arch = Architecture(hidden_sizes=hidden)
+    cfg = TrainConfig(**{**dict(epochs=6, batch_size=16, learning_rate=0.1, momentum=0.9,
+                                init_seed=83), **kwargs})
+    res = train(data.x, data.z_observed, arch, cfg)
+    weights, biases, epoch_losses = reference_train(data.x, data.z_observed.astype(float), arch, cfg)
+    assert res.epoch_losses == epoch_losses
+    assert same_bits(res.params.weights, weights)
+    assert same_bits(res.params.biases, biases)
+    if cfg.early_stop_tol is not None:
+        assert len(epoch_losses) < cfg.epochs  # the case does stop early
+
+
+def test_grad_matches_the_per_layer_reference_bit_for_bit():
+    for seed, hidden in enumerate([(3,), (15, 15), (5, 4, 3)]):
+        params = random_params(Architecture(hidden_sizes=hidden), seed + 90)
+        rng = make_rng(seed, "ref-grad")
+        x = rng.normal(size=(11, 2))
+        t = rng.integers(0, 2, size=11)
+        g = grad(params, x, t)
+        _, gw, gb = reference_backprop(params.weights, params.biases, x, t.astype(float))
+        assert same_bits(g.weights, gw)
+        assert same_bits(g.biases, gb)
+
+
 def test_train_raises_on_numeric_blowup():
     problem = make_random_problem(45, 2.5)
     data = sample_dataset(problem, 500, 46)
@@ -495,6 +603,18 @@ def test_load_model_reports_malformed_files_with_line_numbers(tmp_path, mangle, 
     lines = path.read_text().splitlines()
     path.write_text("\n".join(mangle(lines)) + "\n")
     with pytest.raises(ModelFormatError, match=where):
+        load_model(path)
+
+
+@pytest.mark.parametrize("line", [1, 6, 14])
+def test_load_model_reports_non_utf8_bytes_with_line_number(tmp_path, line):
+    params = init_params(Architecture(hidden_sizes=(3,)), 73)
+    path = tmp_path / "net.txt"
+    save_model(params, path)
+    lines = path.read_bytes().splitlines()
+    lines[line - 1] += b" \xff\xfe"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ModelFormatError, match=f"line {line}: not UTF-8"):
         load_model(path)
 
 

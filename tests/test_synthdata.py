@@ -310,6 +310,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     ("x1,x2,y_clean,z_observed\n1.0,2.0,2,0\n", 2),
     ("x1,x2,y_clean,z_observed\n1.0,nan,0,0\n", 2),
     ("x1,x2,y_clean,z_observed\n", 2),
+    ('x1,x2,y_clean,z_observed\n"0.5\n",1.0,0,0\nbad,1.0,0,0\n', 4),  # a quoted newline is a line
 ])
 def test_csv_load_reports_line_numbers(tmp_path, content, line):
     path = tmp_path / "bad.csv"
