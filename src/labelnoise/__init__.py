@@ -7,8 +7,9 @@ The package splits into seven parts:
                     flipped-Bernoulli rate recovery
 * ``synthdata``   — Gaussian-mixture problems with exact posteriors,
                     sampling, label flipping, CSV round trip
-* ``mlp``         — small tanh network, hand-written backprop, training,
-                    bias-shift/threshold duality
+* ``mlp``         — small tanh network, hand-written backprop, training
+                    (one network or a lockstep stack), bias-shift/threshold
+                    duality
 * ``experiments`` — the two deterministic study grids (``GridConfig``
                     presets, run by ``run_grid``) with CSV/SVG output
 * ``svgchart``    — dependency-free SVG line charts for the grids
@@ -53,6 +54,7 @@ from .mlp import (
     shift_bias,
     sigmoid,
     train,
+    train_stack,
 )
 from .seeding import derive_seed, make_rng
 from .synthdata import (
@@ -68,6 +70,7 @@ from .synthdata import (
     gmm_log_density,
     load_dataset_csv,
     make_random_problem,
+    observe,
     sample_dataset,
     save_dataset_csv,
 )

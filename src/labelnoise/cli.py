@@ -25,8 +25,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, experiments, mlp, svgchart, synthdata
 from .calculus import (
     ClassPriors,
@@ -272,7 +270,7 @@ def cmd_bernoulli(args) -> int:
     rng = make_rng(args.seed, "bernoulli")
     y = rng.random(args.count) < args.p
     u = rng.random(args.count)
-    z = np.where(y, (u >= noise.gamma1), (u < noise.gamma0)).astype(np.int64)
+    z = synthdata.observe(y, u, noise)
     noisy_rate, clean_rate = mle_flipped_bernoulli(z, noise)
     oracle = bernoulli_grid_mle(z, noise)
     print(f"count          {args.count}")

@@ -14,18 +14,23 @@ corrupts its training labels, trains a fresh network on the observed
 labels, and scores it on that test set at both the corrected and the naive
 threshold, so all cells of a run are paired and their differences are
 common-random-number comparisons; training data, flips and initialization
-are per-cell.  A cell is a pure function of (config, run, coordinates),
-which makes grids safe to fan out over a process pool, one cell per task
-and run after run so that each process draws a run's world once, and
-keeps the output byte-identical for any --jobs value.
+are per-cell.  A cell is a pure function of (config, run, coordinates).
+
+``run_grid`` lists the (run, cell) tasks run after run and cuts the list
+into one contiguous chunk per worker process (a single chunk, run inline,
+at --jobs 1).  A chunk samples and flips its cells' training sets, trains
+its cells that share a train_size in lockstep stacks (``mlp.train_stack``,
+which gives each network the bits it would get alone), then scores its
+cells run by run, drawing each run's world once.
+Rows are sorted before they are returned, so the output is byte-identical
+for any --jobs value.
 """
 
 import math
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -181,44 +186,79 @@ def _accuracy(pred: np.ndarray, y_clean: np.ndarray) -> float:
     return float((pred == y_clean).mean())
 
 
-@lru_cache(maxsize=1)  # cells come run-major, so each process draws each run's world once
-def _world(cfg: GridConfig, run: int):
-    """The run's problem, clean-labeled test set and optimal-rule ceiling on it."""
-    problem = synthdata.make_random_problem(
-        derive_seed(cfg.base_seed, "problem", run), cfg.separation_scale, ClassPriors(0.5).p1)
-    test = synthdata.sample_dataset(problem, cfg.test_size, derive_seed(cfg.base_seed, "test", run))
-    return problem, test, synthdata.bayes_accuracy(problem, test)
+# Rows one stack takes per SGD step.  Bigger stacks gain little per network,
+# and their per-step temporaries outgrow malloc's mmap threshold (128 KiB in
+# glibc), so that every step pays for fresh pages: 1024 rows of 15 hidden
+# units is 120 KiB.
+_STACK_ROWS = 1024
 
 
-def _run_cell(cfg: GridConfig, task: tuple) -> ResultRow:
-    run, (experiment, noise, ratio, train_size, cell_seed) = task
-    problem, test, ceiling = _world(cfg, run)
-    clean_train = synthdata.sample_dataset(problem, train_size, derive_seed(cell_seed, "train"))
-    noisy_train = synthdata.flip_labels(clean_train, noise, derive_seed(cell_seed, "flip"))
-    tcfg = mlp.TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum, init_seed=derive_seed(cell_seed, "init"))
-    result = mlp.train(noisy_train.x, noisy_train.z_observed, mlp.Architecture(), tcfg)
+def _split(items: list, parts: int) -> list[list]:
+    """items cut into `parts` contiguous, near-equal slices, in order."""
+    return [items[i * len(items) // parts:(i + 1) * len(items) // parts] for i in range(parts)]
+
+
+def _run_chunk(cfg: GridConfig, tasks: list[tuple]) -> list[ResultRow]:
+    """Rows of a run-major slice of the grid's (run, cell) tasks.
+
+    The cells that share a train_size are trained in lockstep stacks of
+    at most _STACK_ROWS rows per step, and then the cells are scored run by
+    run, so the chunk draws each run's problem, test set and ceiling once.
+    """
+    problems = {run: synthdata.make_random_problem(derive_seed(cfg.base_seed, "problem", run),
+                                                   cfg.separation_scale, ClassPriors(0.5).p1)
+                for run in {run for run, _ in tasks}}
+    tcfg = mlp.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
+                           learning_rate=cfg.learning_rate, momentum=cfg.momentum)
+    by_size: dict[int, list[int]] = {}
+    for i, (_, cell) in enumerate(tasks):
+        by_size.setdefault(cell[3], []).append(i)
+    stacks = []  # (train_size, task indices) of each lockstep stack
+    for size, members in by_size.items():
+        step_rows = len(members) * min(size, cfg.batch_size)
+        stacks += [(size, stack) for stack in _split(members, -(-step_rows // _STACK_ROWS))]
+    nets = [None] * len(tasks)
+    for size, members in stacks:
+        # filled cell by cell, so that only one Dataset of the stack is alive at a time
+        x, targets, seeds = np.empty((len(members), size, 2)), np.empty((len(members), size)), []
+        for k, i in enumerate(members):
+            run, (_, noise, _, _, cell_seed) = tasks[i]
+            clean = synthdata.sample_dataset(problems[run], size, derive_seed(cell_seed, "train"))
+            noisy = synthdata.flip_labels(clean, noise, derive_seed(cell_seed, "flip"))
+            x[k], targets[k] = noisy.x, noisy.z_observed
+            seeds.append(derive_seed(cell_seed, "init"))
+        results = mlp.train_stack(x, targets, mlp.Architecture(), tcfg, seeds)
+        for i, result in zip(members, results):
+            nets[i] = result.params
+
+    rows = []
     priors = ClassPriors(0.5)
-    threshold = threshold_from_priors(priors, propagate_priors(priors, noise))
-    acc_corrected = _accuracy(mlp.classify(result.params, test.x, threshold), test.y_clean)
-    acc_naive = (acc_corrected if threshold == 0.5 else
-                 _accuracy(mlp.classify(result.params, test.x, 0.5), test.y_clean))
-    return ResultRow(experiment, noise.total, noise.gamma1, noise.gamma0, ratio,
-                     train_size, run, threshold, acc_corrected, acc_naive, ceiling, cell_seed)
+    for run, cells in groupby(zip(tasks, nets), key=lambda pair: pair[0][0]):
+        test = synthdata.sample_dataset(problems[run], cfg.test_size,
+                                        derive_seed(cfg.base_seed, "test", run))
+        ceiling = synthdata.bayes_accuracy(problems[run], test)
+        for (_, (experiment, noise, ratio, train_size, cell_seed)), net in cells:
+            threshold = threshold_from_priors(priors, propagate_priors(priors, noise))
+            acc_corrected = _accuracy(mlp.classify(net, test.x, threshold), test.y_clean)
+            acc_naive = (acc_corrected if threshold == 0.5 else
+                         _accuracy(mlp.classify(net, test.x, 0.5), test.y_clean))
+            rows.append(ResultRow(experiment, noise.total, noise.gamma1, noise.gamma0, ratio,
+                                  train_size, run, threshold, acc_corrected, acc_naive,
+                                  ceiling, cell_seed))
+    return rows
 
 
 def run_grid(cfg: GridConfig, jobs: int = 1) -> list[ResultRow]:
     """Run every cell of cfg on jobs worker processes; rows come back sorted."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _world.cache_clear()  # a grid draws its own worlds, even when it is run again
     tasks = [(run, cell) for run in range(cfg.runs) for cell in cfg.cells(run)]
     if jobs == 1:
-        rows = [_run_cell(cfg, t) for t in tasks]
+        rows = _run_chunk(cfg, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell, repeat(cfg), tasks))
+        chunks = _split(tasks, min(jobs, len(tasks)))  # one pool task each
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            rows = [row for chunk in pool.map(_run_chunk, repeat(cfg), chunks) for row in chunk]
     rows.sort(key=lambda r: (r.n, r.ratio, r.train_size, r.run))
     return rows
 

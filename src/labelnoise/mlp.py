@@ -11,12 +11,15 @@ and "shift the final bias" visibly the same operation.
 Everything is plain numpy with hand-written backpropagation, verified
 in the test suite against central finite differences.
 
-Training holds the parameters as one flat float64 vector theta: every
-weight matrix row-major, input layer first, then every bias.  The
-forward and backward passes work on per-layer views of it (``_layers``);
-the gradient, the momentum velocity and the tail-average sum share that
-layout, so each SGD update is a few whole-vector operations.  MlpParams and
-Gradients keep one array per layer.
+Training holds each network's parameters as one flat float64 vector
+theta: every weight matrix row-major, input layer first, then every bias.
+``train_stack`` trains R networks of one architecture in lockstep on (R, P)
+arrays (theta, momentum velocity, gradient, tail-average sum), whose
+per-layer views (``_layers``) are (R, fan_in, fan_out) weights and
+(R, fan_out) biases, so a minibatch step is one batched matmul per layer.
+Each batched operation does for every network what it does for one alone,
+so a stack gives each network the bits it would get alone; ``train`` is
+the stack of one.  MlpParams and Gradients keep one array per layer.
 """
 
 import math
@@ -166,22 +169,30 @@ def _as_batch(input_dim: int, x) -> tuple[np.ndarray, bool]:
 
 
 def _layers(arch: Architecture, theta: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer (weights, biases) views of a flat vector: every weight matrix, then every bias."""
+    """Per-layer (weights, biases) views of flat parameter vectors (theta's last axis).
+
+    The layout is every weight matrix, then every bias; leading axes of
+    theta (a stack of networks) lead every view too.
+    """
     sizes = arch.layer_sizes()
     views, at = [], 0
     for shape in [*zip(sizes[:-1], sizes[1:]), *((fan_out,) for fan_out in sizes[1:])]:
-        views.append(theta[at:at + math.prod(shape)].reshape(shape))
+        views.append(theta[..., at:at + math.prod(shape)].reshape(theta.shape[:-1] + shape))
         at += math.prod(shape)
     return tuple(views[:len(sizes) - 1]), tuple(views[len(sizes) - 1:])
 
 
 def _forward_stack(weights, biases, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Layer outputs and scores: one network on (m, d), or a stack on (R, m, d).
+
+    A stack's biases are (R, 1, fan_out), so that they broadcast over the batch.
+    """
     a = x
     stack = [a]
     for w, b in zip(weights[:-1], biases[:-1]):
         a = np.tanh(a @ w + b)
         stack.append(a)
-    s = (a @ weights[-1] + biases[-1])[:, 0]
+    s = (a @ weights[-1] + biases[-1])[..., 0]
     return stack, s
 
 
@@ -205,13 +216,13 @@ def _softplus(s: np.ndarray) -> np.ndarray:
     return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
 
 
-def _as_targets(t, m: int) -> np.ndarray:
+def _as_targets(t, shape: tuple[int, ...]) -> np.ndarray:
     t = np.asarray(t)
-    if t.shape != (m,):
-        raise ValueError(f"targets must have shape ({m},), got {t.shape}")
+    if t.shape != shape:
+        raise ValueError(f"targets must have shape {shape}, got {t.shape}")
     if not np.isin(t, (0, 1)).all():
         raise ValueError("targets must be 0 or 1")
-    return t.astype(np.float64)
+    return t.astype(np.float64, copy=False)
 
 
 def loss(params: MlpParams, x, targets) -> float:
@@ -224,31 +235,33 @@ def loss(params: MlpParams, x, targets) -> float:
     x, _ = _as_batch(params.arch.input_dim, x)
     if x.shape[0] == 0:
         raise ValueError("loss needs at least one sample")
-    t = _as_targets(targets, x.shape[0])
+    t = _as_targets(targets, x.shape[:1])
     _, s = _forward_stack(params.weights, params.biases, x)
     return float(np.mean(_softplus(s) - t * s))
 
 
-def _loss_and_grads(arch: Architecture, weights, biases, x: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    stack, s = _forward_stack(weights, biases, x)
-    m = x.shape[0]
-    batch_loss = float(np.mean(_softplus(s) - t * s))
+def _loss_and_grads(weights, biases, x: np.ndarray, t: np.ndarray, gw, gb) -> np.ndarray:
+    """Per-network mean losses (R,) of a stack on x (R, m, d); gradients go into gw, gb.
 
-    g = np.empty(sum(a.size for a in weights + biases))  # the flat layout of _layers
-    gw, gb = _layers(arch, g)
+    gw and gb are the per-layer views (``_layers``) of one (R, P) gradient
+    array, and every entry of it is written.
+    """
+    stack, s = _forward_stack(weights, biases, x)
+    m = x.shape[1]
+    batch_loss = np.add.reduce(_softplus(s) - t * s, axis=1) / m  # the bits of np.mean
     # d(mean loss)/d(score) = (sigmoid(s) - t) / m
-    delta = ((sigmoid(s) - t) / m)[:, None]
-    np.matmul(stack[-1].T, delta, out=gw[-1])
-    np.sum(delta, axis=0, out=gb[-1])
-    back = delta @ weights[-1].T
+    delta = ((sigmoid(s) - t) / m)[..., None]
+    np.matmul(stack[-1].transpose(0, 2, 1), delta, out=gw[-1])
+    np.add.reduce(delta, axis=1, out=gb[-1])
+    back = delta @ weights[-1].transpose(0, 2, 1)
     for layer in range(len(weights) - 2, -1, -1):
         a = stack[layer + 1]
         dh = back * (1.0 - a * a)  # tanh' in terms of the tanh output
-        np.matmul(stack[layer].T, dh, out=gw[layer])
-        np.sum(dh, axis=0, out=gb[layer])
+        np.matmul(stack[layer].transpose(0, 2, 1), dh, out=gw[layer])
+        np.add.reduce(dh, axis=1, out=gb[layer])
         if layer:
-            back = dh @ weights[layer].T
-    return batch_loss, g
+            back = dh @ weights[layer].transpose(0, 2, 1)
+    return batch_loss
 
 
 def grad(params: MlpParams, x, targets) -> Gradients:
@@ -256,8 +269,10 @@ def grad(params: MlpParams, x, targets) -> Gradients:
     x, _ = _as_batch(params.arch.input_dim, x)
     if x.shape[0] == 0:
         raise ValueError("grad needs at least one sample")
-    t = _as_targets(targets, x.shape[0])
-    _, g = _loss_and_grads(params.arch, params.weights, params.biases, x, t)
+    t = _as_targets(targets, x.shape[:1])
+    g = np.empty(sum(a.size for a in params.weights + params.biases))  # the layout of _layers
+    _loss_and_grads([w[None] for w in params.weights], [b[None, None] for b in params.biases],
+                    x[None], t[None], *_layers(params.arch, g[None]))
     return Gradients(*_layers(params.arch, g))
 
 
@@ -268,52 +283,88 @@ def train(x, targets, arch: Architecture = Architecture(), cfg: TrainConfig = Tr
     derived from cfg.init_seed, so identical (x, targets, arch, cfg) give
     bit-identical results.  The returned epoch_losses are running means of
     the per-batch losses. Raises TrainingDivergedError when an epoch loss
-    stops being finite.
+    stops being finite.  This is ``train_stack`` with one network.
     """
     x, _ = _as_batch(arch.input_dim, x)
-    n = x.shape[0]
-    if n < 1:
-        raise ValueError("training needs at least one sample")
-    t = _as_targets(targets, n)
+    return train_stack(x[None], np.asarray(targets)[None], arch, cfg, [cfg.init_seed])[0]
 
-    init = init_params(arch, cfg.init_seed)
-    theta = np.concatenate([w.ravel() for w in init.weights] + list(init.biases))
-    weights, biases = _layers(arch, theta)  # views: they follow every update of theta
-    n_weights = sum(w.size for w in weights)
+
+def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list[TrainResult]:
+    """Train len(seeds) networks of one architecture in lockstep; one TrainResult each.
+
+    Network r trains on x[r] (x is (R, n, input_dim)) and targets[r]
+    (targets is (R, n)) with cfg and init_seed seeds[r], and gets the bits
+    ``train`` would give it alone: its own initialization, its own shuffle
+    and its own early stop.  Raises TrainingDivergedError when an epoch
+    loss of any network stops being finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    seeds = list(seeds)
+    if x.ndim != 3 or x.shape[0] != len(seeds) or x.shape[2] != arch.input_dim:
+        raise ValueError(f"inputs must have shape ({len(seeds)}, n, {arch.input_dim}) "
+                         f"for {len(seeds)} seeds, got {x.shape}")
+    n = x.shape[1]
+    if not seeds or n < 1:
+        raise ValueError("training needs at least one network and one sample")
+    if not np.isfinite(x).all():
+        raise ValueError("inputs must be finite")
+    t = _as_targets(targets, x.shape[:2])
+
+    inits = [init_params(arch, seed) for seed in seeds]
+    theta = np.array([np.concatenate([w.ravel() for w in p.weights] + list(p.biases)) for p in inits])
+    n_weights = sum(w.size for w in inits[0].weights)
     velocity = np.zeros_like(theta)
     tail = np.full_like(theta, -0.0)  # -0.0 + p is p bit for bit, for p = +0.0 too
-    shuffle_rng = make_rng(cfg.init_seed, "mlp-shuffle")
+    shuffles = [make_rng(seed, "mlp-shuffle") for seed in seeds]
 
-    epoch_losses: list[float] = []
+    xs, ts = np.empty_like(x), np.empty_like(t)  # this epoch's rows of each live network
+    live = np.arange(len(seeds))  # the networks still training, in stack order
+    epoch_losses: list[list[float]] = [[] for _ in seeds]
+    results: list[TrainResult] = [None] * len(seeds)
     averaged = 0
     for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        running = 0.0
+        weights, biases = _layers(arch, theta)  # views: they follow every update of theta
+        biases = tuple(b[:, None] for b in biases)  # (R, 1, fan_out) broadcasts over a batch
+        g = np.empty_like(theta)
+        grads = _layers(arch, g)
+        for k, r in enumerate(live):
+            order = shuffles[r].permutation(n)
+            np.take(x[r], order, axis=0, out=xs[k])
+            np.take(t[r], order, out=ts[k])
+        running = np.zeros(live.size)
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            batch_loss, g = _loss_and_grads(arch, weights, biases, x[idx], t[idx])
-            running += batch_loss * idx.size
+            batch = slice(start, start + cfg.batch_size)
+            batch_loss = _loss_and_grads(weights, biases, xs[:, batch], ts[:, batch], *grads)
+            running += batch_loss * (min(n, batch.stop) - start)
             if cfg.weight_decay:
-                g[:n_weights] += cfg.weight_decay * theta[:n_weights]
+                g[:, :n_weights] += cfg.weight_decay * theta[:, :n_weights]
             velocity *= cfg.momentum
             velocity -= cfg.learning_rate * g
             theta += velocity
-        epoch_loss = running / n
-        if not math.isfinite(epoch_loss):
-            raise TrainingDivergedError(f"epoch {epoch + 1}: training loss is {epoch_loss}")
-        epoch_losses.append(epoch_loss)
+        loss_now = running / n
+        for r, value in zip(live, loss_now.tolist()):
+            if not math.isfinite(value):
+                raise TrainingDivergedError(f"epoch {epoch + 1}: training loss is {value}"
+                                            + (f" (network {r})" if len(seeds) > 1 else ""))
+            epoch_losses[r].append(value)
         if epoch >= cfg.epochs - cfg.average_tail:
             tail += theta
             averaged += 1
-        if (
-            cfg.early_stop_tol is not None
-            and epoch > 0
-            and epoch_losses[-2] - epoch_losses[-1] < cfg.early_stop_tol
-        ):
-            break
-    if averaged:
-        theta = tail / averaged
-    return TrainResult(MlpParams(arch, *_layers(arch, theta)), tuple(epoch_losses))
+        done = np.full(live.size, epoch == cfg.epochs - 1)
+        if cfg.early_stop_tol is not None and epoch > 0:
+            done |= loss_before - loss_now < cfg.early_stop_tol
+        for k in np.flatnonzero(done):
+            final = tail[k] / averaged if averaged else theta[k]
+            results[live[k]] = TrainResult(MlpParams(arch, *_layers(arch, final)),
+                                           tuple(epoch_losses[live[k]]))
+        if done.any():  # a stopped network leaves the stack
+            keep = ~done
+            live, theta, velocity, tail = live[keep], theta[keep], velocity[keep], tail[keep]
+            xs, ts = xs[:live.size], ts[:live.size]
+            if not live.size:
+                break
+        loss_before = loss_now[~done]
+    return results
 
 
 def shift_bias(params: MlpParams, delta: float) -> MlpParams:
@@ -363,10 +414,15 @@ def load_model(path) -> MlpParams:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        lines = raw.decode("utf-8").splitlines()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ModelFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+    # lines end at "\n" only: str.splitlines would also break at form feeds and
+    # other characters that str.split treats as whitespace inside a row
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
 
     def fail(lineno: int, why: str):
         raise ModelFormatError(f"line {lineno}: {why}")

@@ -256,12 +256,17 @@ def flip_labels(data: Dataset, noise: NoiseParams, seed: int) -> Dataset:
     Features and clean labels are untouched (and shared with the input);
     only the observed column changes.
     """
-    rng = make_rng(seed, "flip")
-    u = rng.random(len(data))
-    z = data.y_clean.copy()
-    z[(data.y_clean == 1) & (u < noise.gamma1)] = 0
-    z[(data.y_clean == 0) & (u < noise.gamma0)] = 1
-    return Dataset(data.x, data.y_clean, z)
+    u = make_rng(seed, "flip").random(len(data))
+    return Dataset(data.x, data.y_clean, observe(data.y_clean, u, noise))
+
+
+def observe(y, u, noise: NoiseParams) -> np.ndarray:
+    """Observed 0/1 labels of clean labels y, given one uniform draw u per label.
+
+    A class-1 label flips to 0 where u < gamma1, a class-0 label flips to
+    1 where u < gamma0: the one flip rule of the package.
+    """
+    return np.where(y == 1, u >= noise.gamma1, u < noise.gamma0).astype(np.int64)
 
 
 def bayes_accuracy(problem: ProblemInstance, data: Dataset) -> float:

@@ -119,6 +119,12 @@ def test_grid_results_do_not_depend_on_worker_count():
     assert run_efficiency_grid(cfg, jobs=1) == run_efficiency_grid(cfg, jobs=3)
     cfg = tiny_flip_ratio(runs=3)  # each worker scores cells of several runs
     assert run_flip_ratio_grid(cfg, jobs=1) == run_flip_ratio_grid(cfg, jobs=2)
+    cfg = tiny_efficiency(training_sizes=(50, 70, 130))  # three stacks, partial last batches
+    assert run_efficiency_grid(cfg, jobs=1) == run_efficiency_grid(cfg, jobs=2)
+    cfg = tiny_flip_ratio(train_size=400, batch_size=400)  # 1600 rows a step: split stacks
+    assert run_flip_ratio_grid(cfg, jobs=1) == run_flip_ratio_grid(cfg, jobs=2)
+    cfg = tiny_flip_ratio(runs=1)  # more workers than the one run has cells to share
+    assert run_flip_ratio_grid(cfg, jobs=1) == run_flip_ratio_grid(cfg, jobs=4)
 
 
 def test_rerunning_a_grid_writes_identical_csv_bytes(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from labelnoise.mlp import (
     shift_bias,
     sigmoid,
     train,
+    train_stack,
 )
 from labelnoise.seeding import make_rng
 from labelnoise.synthdata import (
@@ -396,6 +398,55 @@ def test_train_matches_the_per_layer_reference_bit_for_bit(hidden, kwargs):
         assert len(epoch_losses) < cfg.epochs  # the case does stop early
 
 
+@pytest.mark.parametrize("networks, hidden, kwargs", [
+    pytest.param(1, (3,), dict(), id="one"),
+    pytest.param(3, (5, 4), dict(weight_decay=1e-2, average_tail=2), id="three"),
+    pytest.param(8, (15, 15), dict(), id="eight"),
+    pytest.param(8, (6, 5, 4), dict(epochs=12, momentum=0.5, early_stop_tol=2e-3, average_tail=3),
+                 id="eight-stopping-apart"),
+])
+def test_train_stack_matches_separate_reference_runs_bit_for_bit(networks, hidden, kwargs):
+    # 70 rows at batch 32: every epoch ends on a partial batch of 6
+    arch = Architecture(hidden_sizes=hidden)
+    cfg = TrainConfig(**{**dict(epochs=5, batch_size=32, learning_rate=0.1, momentum=0.9), **kwargs})
+    data = [flip_labels(sample_dataset(make_random_problem(84 + r, 2.5), 70, 85 + r),
+                        NoiseParams(0.3, 0.1), 86 + r) for r in range(networks)]
+    seeds = [200 + 7 * r for r in range(networks)]
+    results = train_stack(np.array([d.x for d in data]), np.array([d.z_observed for d in data]),
+                          arch, cfg, seeds)
+    assert len(results) == networks
+    for d, seed, res in zip(data, seeds, results):
+        weights, biases, epoch_losses = reference_train(
+            d.x, d.z_observed.astype(float), arch, replace(cfg, init_seed=seed))
+        assert res.epoch_losses == epoch_losses
+        assert same_bits(res.params.weights, weights)
+        assert same_bits(res.params.biases, biases)
+    if cfg.early_stop_tol is not None:  # the case stops its networks at different epochs
+        assert len({len(res.epoch_losses) for res in results}) > 1
+
+
+def test_train_stack_checks_its_inputs():
+    x = np.zeros((2, 4, 2))
+    t = np.array([[0, 1, 0, 1], [1, 1, 0, 0]])
+    with pytest.raises(ValueError):
+        train_stack(x, t, Architecture(), TrainConfig(), [1])  # one seed per network
+    with pytest.raises(ValueError):
+        train_stack(x[0], t[0], Architecture(), TrainConfig(), [1])
+    with pytest.raises(ValueError):
+        train_stack(x, t[:, :3], Architecture(), TrainConfig(), [1, 2])
+    with pytest.raises(ValueError):
+        train_stack(np.zeros((0, 4, 2)), np.zeros((0, 4)), Architecture(), TrainConfig(), [])
+
+
+def test_train_stack_names_the_diverged_network():
+    problem = make_random_problem(45, 2.5)
+    data = [sample_dataset(problem, 100, seed) for seed in (46, 47)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError, match=r"epoch 1: .* \(network 0\)"):
+            train_stack([d.x for d in data], [d.y_clean for d in data], Architecture(),
+                        TrainConfig(epochs=3, learning_rate=1e307), [1, 2])
+
+
 def test_grad_matches_the_per_layer_reference_bit_for_bit():
     for seed, hidden in enumerate([(3,), (15, 15), (5, 4, 3)]):
         params = random_params(Architecture(hidden_sizes=hidden), seed + 90)
@@ -595,6 +646,8 @@ def test_saved_model_is_plain_text_with_header(tmp_path):
                  id="infinite-weight"),
     pytest.param(lambda lines: lines[:7] + ["0.0 nan 0.0"] + lines[8:], "line 8",
                  id="nan-bias"),
+    pytest.param(lambda lines: lines[:4] + [lines[4].replace(" ", "\x0c"), "0.1 0.2"] + lines[6:],
+                 "line 6", id="form-feed-separated-row"),
 ])
 def test_load_model_reports_malformed_files_with_line_numbers(tmp_path, mangle, where):
     params = init_params(Architecture(hidden_sizes=(3,)), 71)
@@ -604,6 +657,20 @@ def test_load_model_reports_malformed_files_with_line_numbers(tmp_path, mangle, 
     path.write_text("\n".join(mangle(lines)) + "\n")
     with pytest.raises(ModelFormatError, match=where):
         load_model(path)
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+def test_load_model_splits_lines_at_newlines_only(tmp_path, separator):
+    # str.split() takes these for blanks inside a row; str.splitlines() would end the line
+    params = init_params(Architecture(hidden_sizes=(3,)), 74)
+    path = tmp_path / "net.txt"
+    save_model(params, path)
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].replace(" ", separator)
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n")  # CRLF line ends still load
+    back = load_model(path)
+    assert same_bits(back.weights, params.weights)
+    assert same_bits(back.biases, params.biases)
 
 
 @pytest.mark.parametrize("line", [1, 6, 14])

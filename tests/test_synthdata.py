@@ -17,6 +17,7 @@ from labelnoise.synthdata import (
     gmm_log_density,
     load_dataset_csv,
     make_random_problem,
+    observe,
     sample_dataset,
     save_dataset_csv,
 )
@@ -251,6 +252,13 @@ def test_flip_labels_deterministic():
     a = flip_labels(data, NoiseParams(0.3, 0.1), 18)
     b = flip_labels(data, NoiseParams(0.3, 0.1), 18)
     assert np.array_equal(a.z_observed, b.z_observed)
+
+
+def test_observe_flips_each_class_below_its_rate():
+    y = np.array([1, 1, 1, 0, 0, 0])
+    u = np.array([0.0, 0.29, 0.3, 0.0, 0.09, 0.1])
+    assert observe(y, u, NoiseParams(0.3, 0.1)).tolist() == [0, 0, 1, 1, 1, 0]
+    assert observe(y.astype(bool), u, NoiseParams(0.3, 0.1)).tolist() == [0, 0, 1, 1, 1, 0]
 
 
 def test_flip_labels_empirical_rates():
