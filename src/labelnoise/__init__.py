@@ -61,7 +61,6 @@ from .synthdata import (
     Dataset,
     DatasetFormatError,
     GmmClassModel,
-    LabeledSample,
     ProblemInstance,
     bayes_accuracy,
     clean_posterior,

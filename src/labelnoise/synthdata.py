@@ -11,10 +11,18 @@ Label corruption is feature-independent flipping applied after sampling,
 so a corrupted dataset carries both the clean label y and the observed
 label z.  All sampling is a pure function of (problem, n, seed); random
 streams come from seeding.make_rng.
+
+Datasets round-trip through a CSV file.  The writer formats a thousand
+rows per write.  The loader parses a regular file whole with numpy and falls
+back to a line-by-line parser, the only one that reports errors, each with
+its line number.  Both accept the same files: labels must be the integers
+0 and 1, and a `#` line is a data error, not a comment.
 """
 
 import csv
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,13 @@ from .seeding import make_rng
 _LOG_2PI = math.log(2.0 * math.pi)
 
 CSV_FIELDS = ("x1", "x2", "y_clean", "z_observed")
+_CSV_DTYPE = list(zip(CSV_FIELDS, ("f8", "f8", "i8", "i8")))
+_CSV_ROW = "%.17g,%.17g,%d,%d\n"
+# rows formatted per write: each chunk's text and value tuple stay below glibc's
+# 128 KiB mmap threshold; 4096-row chunks left up to 12 MB of freed heap held
+_CSV_CHUNK_ROWS = 1024
+# numpy's number parser strips these control bytes around a field; float() and int() do not
+_NUMPY_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class DatasetFormatError(ValueError):
@@ -84,15 +99,8 @@ class ProblemInstance:
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    x: np.ndarray  # (2,)
-    y_clean: int
-    z_observed: int
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Column store of samples; indexes like a sequence of LabeledSample.
+    """Column store of samples: features x and the clean and observed labels.
 
     Arrays are shared, not copied — treat a Dataset as read-only.
     """
@@ -121,9 +129,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledSample:
-        return LabeledSample(self.x[i], int(self.y_clean[i]), int(self.z_observed[i]))
 
 
 def _random_spd(rng: np.random.Generator) -> np.ndarray:
@@ -285,15 +290,26 @@ def save_dataset_csv(data: Dataset, path) -> None:
     """Write x1,x2,y_clean,z_observed rows; floats keep 17 significant digits."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_FIELDS) + "\n")
-        for i in range(len(data)):
-            fh.write(
-                f"{data.x[i, 0]:.17g},{data.x[i, 1]:.17g},"
-                f"{data.y_clean[i]:d},{data.z_observed[i]:d}\n"
-            )
+        for start in range(0, len(data), _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            columns = (data.x[rows, 0], data.x[rows, 1], data.y_clean[rows], data.z_observed[rows])
+            values = [None] * (len(CSV_FIELDS) * len(columns[0]))
+            for j, column in enumerate(columns):
+                values[j::len(CSV_FIELDS)] = column.tolist()
+            fh.write(_CSV_ROW * len(columns[0]) % tuple(values))
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Inverse of save_dataset_csv; bad input raises DatasetFormatError with a line number."""
+    """Inverse of save_dataset_csv; bad input raises DatasetFormatError with a line number.
+
+    A regular file is first parsed whole by numpy.  A file that parse cannot
+    vouch for, and a pipe or device, which can be read only once, go through
+    the line-by-line parser, the one source of error messages.
+    """
+    if os.path.isfile(path):
+        data = _load_dataset_csv_fast(path)
+        if data is not None:
+            return data
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             return _parse_dataset_csv(csv.reader(fh))
@@ -306,6 +322,39 @@ def load_dataset_csv(path) -> Dataset:
                 except UnicodeDecodeError as exc:
                     raise DatasetFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
         raise
+
+
+def _load_dataset_csv_fast(path) -> Dataset | None:
+    """Whole-file numeric parse; None where only _parse_dataset_csv can judge the file.
+
+    It returns a Dataset only for a file that _parse_dataset_csv accepts, with
+    equal arrays: numpy rejects quoted fields, `1_0` and non-ASCII digits,
+    which float() and int() accept, and the Dataset checks reject what both
+    parse but the line parser refuses (non-finite features, labels not 0/1).
+    """
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            if any(space in block for space in _NUMPY_ONLY_SPACES):
+                return None
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\r\n") != ",".join(CSV_FIELDS):
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body warns
+                # numpy 1.23-1.26 parse an integer field such as `0.7` through float,
+                # truncate it to 0 and only warn; newer numpy rejects it
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=_CSV_DTYPE, ndmin=1)
+        if table.size == 0:
+            return None
+        # contiguous copies, so that the row table is freed on return
+        return Dataset(np.column_stack((table["x1"], table["x2"])),
+                       np.ascontiguousarray(table["y_clean"]),
+                       np.ascontiguousarray(table["z_observed"]))
+    except (ValueError, DeprecationWarning):
+        # not UTF-8, a field numpy cannot parse, or a value Dataset rejects
+        return None
 
 
 def _parse_dataset_csv(reader) -> Dataset:

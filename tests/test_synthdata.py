@@ -1,11 +1,19 @@
+import csv
 import math
+import os
+import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from labelnoise import synthdata
 from labelnoise.calculus import ClassPriors, NoiseParams, corrupt_posterior, propagate_priors
 from labelnoise.seeding import make_rng
 from labelnoise.synthdata import (
+    CSV_FIELDS,
     Dataset,
     DatasetFormatError,
     GmmClassModel,
@@ -206,9 +214,6 @@ def test_sample_dataset_labels_start_clean():
     data = sample_dataset(make_random_problem(2, 2.5), 300, 13)
     assert np.array_equal(data.y_clean, data.z_observed)
     assert len(data) == 300
-    sample = data[5]
-    assert sample.x.shape == (2,)
-    assert sample.y_clean in (0, 1)
 
 
 def test_sample_dataset_class_fraction_concentrates():
@@ -310,6 +315,41 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert header == "x1,x2,y_clean,z_observed"
 
 
+def reference_save_dataset_csv(data, path):
+    """The per-row writer that save_dataset_csv must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_FIELDS) + "\n")
+        for i in range(len(data)):
+            fh.write(
+                f"{data.x[i, 0]:.17g},{data.x[i, 1]:.17g},"
+                f"{data.y_clean[i]:d},{data.z_observed[i]:d}\n"
+            )
+
+
+CHUNK = synthdata._CSV_CHUNK_ROWS
+AWKWARD_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 1.0, 0.1,
+                  -5e-324, -1.7976931348623157e308, 2.0 ** 53 + 2.0]
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_save_dataset_csv_matches_the_per_row_writer(tmp_path, n):
+    rng = make_rng(41, "csv-writer", n)
+    x = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
+    x.ravel()[:len(AWKWARD_FLOATS)] = AWKWARD_FLOATS[:x.size]
+    data = Dataset(x, rng.integers(0, 2, n), rng.integers(0, 2, n))
+    save_dataset_csv(data, tmp_path / "chunked.csv")
+    reference_save_dataset_csv(data, tmp_path / "per_row.csv")
+    written = (tmp_path / "chunked.csv").read_bytes()
+    assert written == (tmp_path / "per_row.csv").read_bytes()
+    lines = written.split(b"\n")
+    assert len(lines) == n + 2 and lines[-1] == b""
+    features = [line.split(b",")[:2] for line in lines[1:n + 1][:4]]
+    assert sum(features, [])[:len(AWKWARD_FLOATS)] == [
+        b"-0", b"4.9406564584124654e-324", b"1.7976931348623157e+308", b"1",
+        b"0.10000000000000001", b"-4.9406564584124654e-324", b"-1.7976931348623157e+308",
+        b"9007199254740994"][:x.size]
+
+
 @pytest.mark.parametrize("content,line", [
     ("", 1),
     ("wrong,header,a,b\n1,2,0,0\n", 1),
@@ -319,6 +359,13 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     ("x1,x2,y_clean,z_observed\n1.0,nan,0,0\n", 2),
     ("x1,x2,y_clean,z_observed\n", 2),
     ('x1,x2,y_clean,z_observed\n"0.5\n",1.0,0,0\nbad,1.0,0,0\n', 4),  # a quoted newline is a line
+    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,1.0,1\n", 3),  # labels are integers
+    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,0,0.7\n", 3),  # not truncated to 0
+    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,1.9,1\n", 3),  # nor to 1
+    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n#1.0,2.0,0,1\n", 3),  # '#' starts no comment
+    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n\x1c1.0,2.0,0,1\n", 3),  # numpy alone strips \x1c
+    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,0,-1\n", 3),
+    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1e400,2.0,0,1\n", 3),
 ])
 def test_csv_load_reports_line_numbers(tmp_path, content, line):
     path = tmp_path / "bad.csv"
@@ -335,6 +382,150 @@ def test_csv_load_reports_non_utf8_bytes_with_line_number(tmp_path, good_rows):
                      + b"1.0,2.0,0,1 \xe9t\xe9\n")
     with pytest.raises(DatasetFormatError, match=f"line {good_rows + 2}: not UTF-8"):
         load_dataset_csv(path)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n", "\r\n\r\n", "\r"])
+def test_csv_load_rejects_an_empty_body_without_a_warning(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(("x1,x2,y_clean,z_observed\n" + body).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetFormatError, match="^line 2: no data rows$"):
+            load_dataset_csv(path)
+
+
+def test_csv_load_falls_back_when_numpy_casts_a_label_through_float(tmp_path, monkeypatch):
+    # numpy 1.23-1.26 read an integer field `0.7` as 0 and only warn that this is deprecated
+    def loadtxt_of_numpy_1_2x(fh, **kwargs):
+        fh.read()
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.array([(1.0, 2.0, 0, 1), (1.0, 2.0, 0, 0)], dtype=kwargs["dtype"])
+
+    path = tmp_path / "float-label.csv"
+    path.write_text("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,0,0.7\n")
+    monkeypatch.setattr(synthdata.np, "loadtxt", loadtxt_of_numpy_1_2x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # a caller's filter does not matter
+        assert synthdata._load_dataset_csv_fast(path) is None
+        with pytest.raises(DatasetFormatError, match="^line 3: invalid literal for int"):
+            load_dataset_csv(path)
+
+
+def test_csv_load_parses_crlf_blank_lines_and_padding_without_the_line_parser(tmp_path, monkeypatch):
+    path = tmp_path / "padded.csv"
+    path.write_bytes("x1,x2,y_clean,z_observed\r\n 0.5 ,\t-1e-3,1 ,\xa00\r\n\r\n2,3,+1,01\r\n"
+                     .encode())
+    monkeypatch.setattr(synthdata, "_parse_dataset_csv", None)  # calling it would raise
+    data = load_dataset_csv(path)
+    assert data.x.tolist() == [[0.5, -1e-3], [2.0, 3.0]]
+    assert data.y_clean.tolist() == [1, 1] and data.z_observed.tolist() == [0, 1]
+    assert all(a.flags.c_contiguous for a in (data.x, data.y_clean, data.z_observed))
+
+
+@pytest.mark.parametrize("content,expected", [
+    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n", None),
+    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\nbad,2.0,0,1\n", "line 3: could not convert"),
+])
+def test_csv_load_reads_a_fifo_once(tmp_path, content, expected):
+    # a pipe cannot be read twice: a fast parse that failed could not hand it to the line parser
+    fifo = tmp_path / "data.csv"
+    os.mkfifo(fifo)
+    outcome = {}
+
+    def load():
+        try:
+            outcome["data"] = load_dataset_csv(fifo)
+        except DatasetFormatError as exc:
+            outcome["error"] = str(exc)
+
+    loader = threading.Thread(target=load, daemon=True)
+    loader.start()
+    with open(fifo, "w") as fh:
+        fh.write(content)
+    loader.join(timeout=30)
+    assert not loader.is_alive()
+    if expected is None:
+        assert outcome["data"].x.tolist() == [[1.0, 2.0]]
+    else:
+        assert outcome["error"].startswith(expected)
+
+
+def parse_line_by_line(path):
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        return synthdata._parse_dataset_csv(csv.reader(fh))
+
+
+def assert_same_dataset(got, expected):
+    for name in ("x", "y_clean", "z_observed"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# float() and int() strip these around a field, and so does numpy
+PADDING = st.one_of(st.just(""), st.sampled_from([" ", "\t", "\x0b", "\x0c", "\xa0", "\u3000"]))
+FEATURE = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda v: st.sampled_from([repr(v), f"{v:.17g}", f"{v:e}", f"{v:.3f}"]))
+LABEL = st.sampled_from(["0", "1", "+1", "-0", "01"])
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _mutate(kind, fields, i, j):
+    row = fields[i]
+    if kind == "underscore":
+        row[j] = "1_0"
+    elif kind == "full-width":
+        row[j] = row[j].translate(FULL_WIDTH)
+    elif kind == "float-label":
+        row[2 + j % 2] = ("1.0", "0.7", "1.9", "1e0")[j]
+    elif kind == "control-space":  # numpy strips it, float() and int() do not
+        row[j] = "\x1c" + row[j]
+    elif kind == "quoted":
+        row[j] = f'"{row[j]}"'
+    elif kind == "hash":
+        row[0] = "#" + row[0]
+    elif kind == "extra-field":
+        row.append("0")
+    elif kind in ("nan", "inf", "1e400"):
+        row[j % 2] = kind
+    elif kind == "header-only":
+        fields.clear()
+
+
+@st.composite
+def dataset_csv_texts(draw):
+    rows = draw(st.lists(st.tuples(FEATURE, FEATURE, LABEL, LABEL), min_size=1, max_size=6))
+    fields = [[draw(PADDING) + f + draw(PADDING) for f in row] for row in rows]
+    kind = draw(st.one_of(st.none(), st.sampled_from([
+        "underscore", "full-width", "float-label", "control-space", "quoted", "hash", "bom",
+        "extra-field", "nan", "inf", "1e400", "header-only"])))
+    _mutate(kind, fields, draw(st.integers(0, len(fields) - 1)), draw(st.integers(0, 3)))
+    lines = [",".join(row) for row in fields]
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, "")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join([",".join(CSV_FIELDS), *lines]) + draw(st.sampled_from(["", end]))
+    return "\ufeff" + text if kind == "bom" else text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=dataset_csv_texts())
+def test_csv_fast_parse_agrees_with_the_line_parser(tmp_path, text):
+    path = tmp_path / "generated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = parse_line_by_line(path)
+    except DatasetFormatError as exc:
+        assert re.match(r"line \d+: ", str(exc))
+        assert synthdata._load_dataset_csv_fast(path) is None
+        with pytest.raises(DatasetFormatError) as raised:
+            load_dataset_csv(path)
+        assert str(raised.value) == str(exc)
+        return
+    assert_same_dataset(load_dataset_csv(path), expected)
+    fast = synthdata._load_dataset_csv_fast(path)
+    if fast is not None:
+        assert_same_dataset(fast, expected)
 
 
 def test_dataset_validation():
