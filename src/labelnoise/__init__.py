@@ -44,7 +44,6 @@ from .mlp import (
     TrainingDivergedError,
     TrainResult,
     classify,
-    forward,
     grad,
     init_params,
     load_model,

@@ -186,13 +186,6 @@ def _accuracy(pred: np.ndarray, y_clean: np.ndarray) -> float:
     return float((pred == y_clean).mean())
 
 
-# Rows one stack takes per SGD step.  Bigger stacks gain little per network,
-# and their per-step temporaries outgrow malloc's mmap threshold (128 KiB in
-# glibc), so that every step pays for fresh pages: 1024 rows of 15 hidden
-# units is 120 KiB.
-_STACK_ROWS = 1024
-
-
 def _split(items: list, parts: int) -> list[list]:
     """items cut into `parts` contiguous, near-equal slices, in order."""
     return [items[i * len(items) // parts:(i + 1) * len(items) // parts] for i in range(parts)]
@@ -202,12 +195,15 @@ def _run_chunk(cfg: GridConfig, tasks: list[tuple]) -> list[ResultRow]:
     """Rows of a run-major slice of the grid's (run, cell) tasks.
 
     The cells that share a train_size are trained in lockstep stacks of
-    at most _STACK_ROWS rows per step, and then the cells are scored run by
-    run, so the chunk draws each run's problem, test set and ceiling once.
+    at most ``mlp.block_rows`` rows per step (bigger stacks gain little per
+    network, and their per-step temporaries would cost fresh pages), and then
+    the cells are scored run by run, so the chunk draws each run's problem,
+    test set and ceiling once.
     """
     problems = {run: synthdata.make_random_problem(derive_seed(cfg.base_seed, "problem", run),
                                                    cfg.separation_scale, ClassPriors(0.5).p1)
                 for run in {run for run, _ in tasks}}
+    arch = mlp.Architecture()
     tcfg = mlp.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                            learning_rate=cfg.learning_rate, momentum=cfg.momentum)
     by_size: dict[int, list[int]] = {}
@@ -216,7 +212,7 @@ def _run_chunk(cfg: GridConfig, tasks: list[tuple]) -> list[ResultRow]:
     stacks = []  # (train_size, task indices) of each lockstep stack
     for size, members in by_size.items():
         step_rows = len(members) * min(size, cfg.batch_size)
-        stacks += [(size, stack) for stack in _split(members, -(-step_rows // _STACK_ROWS))]
+        stacks += [(size, stack) for stack in _split(members, -(-step_rows // mlp.block_rows(arch)))]
     nets = [None] * len(tasks)
     for size, members in stacks:
         # filled cell by cell, so that only one Dataset of the stack is alive at a time
@@ -227,7 +223,7 @@ def _run_chunk(cfg: GridConfig, tasks: list[tuple]) -> list[ResultRow]:
             noisy = synthdata.flip_labels(clean, noise, derive_seed(cell_seed, "flip"))
             x[k], targets[k] = noisy.x, noisy.z_observed
             seeds.append(derive_seed(cell_seed, "init"))
-        results = mlp.train_stack(x, targets, mlp.Architecture(), tcfg, seeds)
+        results = mlp.train_stack(x, targets, arch, tcfg, seeds)
         for i, result in zip(members, results):
             nets[i] = result.params
 

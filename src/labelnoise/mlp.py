@@ -20,6 +20,16 @@ per-layer views (``_layers``) are (R, fan_in, fan_out) weights and
 Each batched operation does for every network what it does for one alone,
 so a stack gives each network the bits it would get alone; ``train`` is
 the stack of one.  MlpParams and Gradients keep one array per layer.
+
+``score`` (and with it ``classify``) runs a batch through the network
+``block_rows`` rows at a time and fills one preallocated score vector.  A
+whole 20 000-row batch would make every layer output a 2.4 MB temporary, and
+glibc's malloc maps each one fresh and unmaps it on free, so that a call
+paid over a thousand page faults; a block's temporaries stay under malloc's
+mmap threshold and reuse heap pages.  A row's score depends only on that
+row, and for the default network the blocks give the bits of one
+whole-batch pass.  The grids' lockstep stacks take their size cap from the
+same rule.
 """
 
 import math
@@ -34,6 +44,11 @@ _PROB_LO = np.nextafter(0.0, 1.0)
 _PROB_HI = np.nextafter(1.0, 0.0)
 
 _MODEL_MAGIC = "labelnoise-mlp 1"
+
+# glibc's malloc serves a request of 128 KiB or more (its default mmap
+# threshold) with a fresh mapping, whose pages are faulted in on first touch
+# and unmapped on free; a float64 temporary under this size reuses heap pages
+_BLOCK_BYTES = 128 * 1024
 
 
 class TrainingDivergedError(RuntimeError):
@@ -156,6 +171,20 @@ def init_params(arch: Architecture, seed: int) -> MlpParams:
     return MlpParams(arch, tuple(weights), tuple(biases))
 
 
+def block_rows(arch: Architecture) -> int:
+    """Rows per pass: the largest power of two whose widest layer output is under _BLOCK_BYTES.
+
+    1024 for the default 15-wide network.  A power of two puts the block
+    edges on rows where the BLAS kernels' own row blocking has edges too, so
+    that a row gets the bits a whole-batch pass would give it (except where
+    BLAS picks another kernel for a wide network's pass over thousands of rows).
+    """
+    rows = 1
+    while 2 * rows * 8 * max(arch.layer_sizes()) < _BLOCK_BYTES:
+        rows *= 2
+    return rows
+
+
 def _as_batch(input_dim: int, x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -197,19 +226,19 @@ def _forward_stack(weights, biases, x: np.ndarray) -> tuple[list[np.ndarray], np
 
 
 def score(params: MlpParams, x):
-    """Raw pre-sigmoid output; one point (input_dim,) -> float, batch (m, input_dim) -> (m,)."""
+    """Raw pre-sigmoid output; one point (input_dim,) -> float, batch (m, input_dim) -> (m,).
+
+    A batch is scored ``block_rows`` rows at a time into one output vector.
+    """
     x, single = _as_batch(params.arch.input_dim, x)
-    _, s = _forward_stack(params.weights, params.biases, x)
+    m = x.shape[0]
+    s = np.empty(m)
+    # a last block of one row would take BLAS's vector kernel, whose bits
+    # differ from its matrix kernel's: it joins the block before it
+    starts = range(0, max(m - 1, 1), block_rows(params.arch))
+    for start, stop in zip(starts, [*starts[1:], m]):
+        _, s[start:stop] = _forward_stack(params.weights, params.biases, x[start:stop])
     return float(s[0]) if single else s
-
-
-def forward(params: MlpParams, x) -> tuple[float, float]:
-    """(score, probability) for a single input point."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.arch.input_dim,):
-        raise ValueError(f"forward takes one point of shape ({params.arch.input_dim},), got {x.shape}")
-    s = score(params, x)
-    return s, sigmoid(s)
 
 
 def _softplus(s: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ its line number.  Both accept the same files: labels must be the integers
 """
 
 import csv
+import io
 import math
 import os
 import warnings
@@ -310,18 +311,15 @@ def load_dataset_csv(path) -> Dataset:
         data = _load_dataset_csv_fast(path)
         if data is not None:
             return data
+    with open(path, "rb") as fh:  # read once: a pipe cannot be reopened
+        raw = fh.read()
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            return _parse_dataset_csv(csv.reader(fh))
-    except UnicodeDecodeError:
-        # find the line: no UTF-8 multi-byte sequence contains a newline byte
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DatasetFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
-        raise
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # no UTF-8 multi-byte sequence contains a newline byte
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise DatasetFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+    return _parse_dataset_csv(csv.reader(io.StringIO(text, newline="")))
 
 
 def _load_dataset_csv_fast(path) -> Dataset | None:

@@ -1,8 +1,10 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from labelnoise.calculus import NoiseParams, corrupt_posterior, logistic, threshold_from_shift
 from labelnoise.mlp import (
@@ -11,8 +13,9 @@ from labelnoise.mlp import (
     ModelFormatError,
     TrainConfig,
     TrainingDivergedError,
+    _forward_stack,
+    block_rows,
     classify,
-    forward,
     grad,
     init_params,
     load_model,
@@ -105,13 +108,13 @@ def test_sigmoid_is_the_clipped_calculus_logistic():
     assert sigmoid(0.3) == logistic(0.3)
 
 
-def test_forward_zero_network_gives_even_odds():
-    s, p = forward(zero_params(), np.array([0.37, -2.2]))
+def test_score_zero_network_gives_even_odds():
+    s = score(zero_params(), np.array([0.37, -2.2]))
     assert s == 0.0
-    assert p == 0.5
+    assert sigmoid(s) == 0.5
 
 
-def test_forward_prob_matches_recomputed_score():
+def test_score_matches_a_per_layer_loop():
     for seed in range(6):
         params = random_params(Architecture(), seed)
         rng = make_rng(seed, "fwd-x")
@@ -121,19 +124,36 @@ def test_forward_prob_matches_recomputed_score():
         for w, b in zip(params.weights[:-1], params.biases[:-1]):
             a = np.tanh(a @ w + b)
         expect_s = float((a @ params.weights[-1] + params.biases[-1])[0])
-        s, p = forward(params, x)
+        s = score(params, x)
         assert s == pytest.approx(expect_s, abs=1e-12)
-        assert p == pytest.approx(1.0 / (1.0 + math.exp(-expect_s)), abs=1e-12)
+        assert sigmoid(s) == pytest.approx(1.0 / (1.0 + math.exp(-expect_s)), abs=1e-12)
 
 
-def test_forward_rejects_bad_inputs():
+def test_score_rejects_bad_inputs():
     params = zero_params()
     with pytest.raises(ValueError):
-        forward(params, np.array([1.0, 2.0, 3.0]))
+        score(params, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
-        forward(params, np.array([np.nan, 0.0]))
+        score(params, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         score(params, np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("hidden, rows, sizes", [
+    ((15, 15), 1024, [20000]),  # the grids' network and test-set size
+    ((300,), 32, []),
+])
+def test_score_in_blocks_equals_one_whole_batch_pass_bit_for_bit(hidden, rows, sizes):
+    arch = Architecture(2, hidden)
+    assert block_rows(arch) == rows
+    # the widest layer output of a block stays under malloc's 128 KiB mmap threshold
+    assert rows * 8 * max(hidden) < 128 * 1024 <= 2 * rows * 8 * max(hidden)
+    params = random_params(arch, 11)
+    rng = make_rng(11, "blocks-x")
+    for m in [0, 1, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1, *sizes]:
+        x = rng.normal(size=(m, 2)) * 2.0
+        _, whole = _forward_stack(params.weights, params.biases, x)
+        assert score(params, x).tobytes() == whole.tobytes()
 
 
 def test_score_batch_agrees_with_single_points():
@@ -683,6 +703,56 @@ def test_load_model_reports_non_utf8_bytes_with_line_number(tmp_path, line):
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(ModelFormatError, match=f"line {line}: not UTF-8"):
         load_model(path)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hidden=st.sampled_from([(), (1,), (3,), (2, 3)]), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["drop-line", "duplicate-line", "bad-token", "same-value-token", "non-utf8"]),
+       data=st.data())
+def test_load_model_loads_the_saved_bits_or_names_a_line(tmp_path, hidden, seed, kind, data):
+    params = random_params(Architecture(2, hidden), seed, spread=2.0)
+    path = tmp_path / "net.txt"
+    save_model(params, path)
+    lines = path.read_bytes().split(b"\n")[:-1]
+    i = data.draw(st.integers(0, len(lines) - 1), label="line index")
+    if kind == "drop-line":
+        del lines[i]
+    elif kind == "duplicate-line":
+        lines.insert(i, lines[i])
+    elif kind == "non-utf8":
+        at = data.draw(st.integers(0, len(lines[i])), label="byte offset")
+        bad = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xe9t\xe9", b"\xed\xa0\x80"]))
+        lines[i] = lines[i][:at] + bad + lines[i][at:]
+    else:
+        tokens = lines[i].split(b" ")
+        j = data.draw(st.integers(0, len(tokens) - 1), label="token index")
+        if kind == "bad-token":
+            tokens[j] = data.draw(st.sampled_from(
+                [b"", b"x", b"1e400", b"-1e400", b"nan", b"inf", b"W9", b"b9", b"0x1p0"]))
+        else:
+            try:
+                value = float(tokens[j])
+            except ValueError:
+                pass  # not a number: the line stays as it is
+            else:
+                tokens[j] = data.draw(st.sampled_from(
+                    [f"{value:.17e}", f"{value:+.17g}", repr(value).upper()])).encode()
+        lines[i] = b" ".join(tokens)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    try:
+        back = load_model(path)
+    except ModelFormatError as exc:
+        found = re.match(r"line (\d+): ", str(exc))
+        assert found, str(exc)
+        # a file that ends too soon names the line after its last one
+        assert 1 <= int(found[1]) <= len(lines) + 1
+        if kind == "non-utf8":
+            assert int(found[1]) == i + 1
+        return
+    assert kind == "same-value-token"  # every other mutation breaks the file
+    assert back.arch == params.arch
+    assert same_bits(back.weights, params.weights)
+    assert same_bits(back.biases, params.biases)
 
 
 def test_load_model_rejects_nonfinite_parameters(tmp_path):

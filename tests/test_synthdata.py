@@ -426,6 +426,7 @@ def test_csv_load_parses_crlf_blank_lines_and_padding_without_the_line_parser(tm
 @pytest.mark.parametrize("content,expected", [
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n", None),
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\nbad,2.0,0,1\n", "line 3: could not convert"),
+    (b"x1,x2,y_clean,z_observed\n1,2,0,1\n1,2,0,\xe9\n", "line 3: not UTF-8 text"),
 ])
 def test_csv_load_reads_a_fifo_once(tmp_path, content, expected):
     # a pipe cannot be read twice: a fast parse that failed could not hand it to the line parser
@@ -441,8 +442,8 @@ def test_csv_load_reads_a_fifo_once(tmp_path, content, expected):
 
     loader = threading.Thread(target=load, daemon=True)
     loader.start()
-    with open(fifo, "w") as fh:
-        fh.write(content)
+    with open(fifo, "wb") as fh:
+        fh.write(content if isinstance(content, bytes) else content.encode())
     loader.join(timeout=30)
     assert not loader.is_alive()
     if expected is None:
