@@ -50,6 +50,7 @@ from .mlp import (
     loss,
     save_model,
     score,
+    score_cut,
     shift_bias,
     sigmoid,
     train,

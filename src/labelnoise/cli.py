@@ -176,14 +176,30 @@ def cmd_eval(args) -> int:
 
 # -------------------------------------------------------------- experiments
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ValueError."""
+    seen = {}
+    for key, value in pairs:
+        if key in seen:
+            raise ValueError(f"duplicate key {key!r}")
+        seen[key] = value
+    return seen
+
+
 def _load_grid_config(cls, path):
     raw = {}
     if path is not None:
+        with open(path, "rb") as fh:
+            data = fh.read()
         try:
-            with open(path) as fh:
-                raw = json.load(fh)
+            raw = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"config {path}: line {lineno}: not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path}: not valid JSON ({exc})") from None
+        except (ValueError, RecursionError) as exc:  # a duplicate key, nesting or digits past a limit
+            raise ConfigError(f"config {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path}: top level must be a JSON object")
         allowed = {f.name for f in dataclasses.fields(cls)}

@@ -11,10 +11,10 @@ Two grids, each a ``GridConfig`` preset that ``run_grid`` runs:
 Each run draws one random problem, one clean-labeled test set and its
 optimal-rule ceiling from (base_seed, run).  Every cell of the run then
 corrupts its training labels, trains a fresh network on the observed
-labels, and scores it on that test set at both the corrected and the naive
-threshold, so all cells of a run are paired and their differences are
-common-random-number comparisons; training data, flips and initialization
-are per-cell.  A cell is a pure function of (config, run, coordinates).
+labels, and scores it once on that test set, deciding at both the
+corrected and the naive threshold, so all cells of a run are paired and
+their differences are common-random-number comparisons; training data,
+flips and initialization are per-cell.  A cell is a pure function of (config, run, coordinates).
 
 ``run_grid`` lists the (run, cell) tasks run after run and cuts the list
 into one contiguous chunk per worker process (a single chunk, run inline,
@@ -235,9 +235,9 @@ def _run_chunk(cfg: GridConfig, tasks: list[tuple]) -> list[ResultRow]:
         ceiling = synthdata.bayes_accuracy(problems[run], test)
         for (_, (experiment, noise, ratio, train_size, cell_seed)), net in cells:
             threshold = threshold_from_priors(priors, propagate_priors(priors, noise))
-            acc_corrected = _accuracy(mlp.classify(net, test.x, threshold), test.y_clean)
-            acc_naive = (acc_corrected if threshold == 0.5 else
-                         _accuracy(mlp.classify(net, test.x, 0.5), test.y_clean))
+            s = mlp.score(net, test.x)  # one pass, decided at both thresholds as classify would
+            acc_corrected = _accuracy(s >= mlp.score_cut(threshold), test.y_clean)
+            acc_naive = _accuracy(s >= mlp.score_cut(0.5), test.y_clean)
             rows.append(ResultRow(experiment, noise.total, noise.gamma1, noise.gamma0, ratio,
                                   train_size, run, threshold, acc_corrected, acc_naive,
                                   ceiling, cell_seed))

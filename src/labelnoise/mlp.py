@@ -21,6 +21,18 @@ Each batched operation does for every network what it does for one alone,
 so a stack gives each network the bits it would get alone; ``train`` is
 the stack of one.  MlpParams and Gradients keep one array per layer.
 
+An SGD step (``_backprop``, then the momentum update) allocates almost
+nothing: each operation writes with ``out=`` into step buffers made once per
+(stack size, batch rows) (``_step_buffers``), and the step leaves its
+scores in a window of batches instead of computing its loss.  An epoch's
+loss needs only the per-batch losses summed in batch order, so they are
+computed from the stored scores when the window fills and at the end of
+the epoch, and added in that order: the bits one loss per step would give.
+The window holds fewer than ``_BLOCK_BYTES`` of scores, so that it and the
+loss temporaries made from it reuse heap pages; a whole epoch's scores
+(200 000 rows for a large dataset) would cost fresh pages and raise peak
+memory.
+
 ``score`` (and with it ``classify``) runs a batch through the network
 ``block_rows`` rows at a time and fills one preallocated score vector.  A
 whole 20 000-row batch would make every layer output a 2.4 MB temporary, and
@@ -34,6 +46,7 @@ same rule.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,7 +167,9 @@ def sigmoid(s):
 
     Huge |s| never collapses the probability onto a hard 0/1.
     """
-    p = np.clip(logistic(s), _PROB_LO, _PROB_HI)
+    p = np.asarray(logistic(s))
+    np.maximum(p, _PROB_LO, out=p)  # the bits of np.clip, at a third of its cost
+    np.minimum(p, _PROB_HI, out=p)
     return float(p) if p.ndim == 0 else p
 
 
@@ -211,18 +226,22 @@ def _layers(arch: Architecture, theta: np.ndarray) -> tuple[tuple[np.ndarray, ..
     return tuple(views[:len(sizes) - 1]), tuple(views[len(sizes) - 1:])
 
 
-def _forward_stack(weights, biases, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Layer outputs and scores: one network on (m, d), or a stack on (R, m, d).
+def _forward_stack(weights, biases, x: np.ndarray, out=None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Layer inputs and scores: one network on (m, d), or a stack on (R, m, d).
 
-    A stack's biases are (R, 1, fan_out), so that they broadcast over the batch.
+    A stack's biases are (R, 1, fan_out), so that they broadcast over the
+    batch.  ``out``, when given, holds one output array per layer (the last
+    one (..., m, 1)), which the pass fills in place of new arrays.
     """
     a = x
     stack = [a]
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.tanh(a @ w + b)
-        stack.append(a)
-    s = (a @ weights[-1] + biases[-1])[..., 0]
-    return stack, s
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        a = np.matmul(a, w, out=None if out is None else out[layer])
+        a += b
+        if layer < len(weights) - 1:
+            np.tanh(a, out=a)
+            stack.append(a)
+    return stack, a[..., 0]
 
 
 def score(params: MlpParams, x):
@@ -269,28 +288,75 @@ def loss(params: MlpParams, x, targets) -> float:
     return float(np.mean(_softplus(s) - t * s))
 
 
-def _loss_and_grads(weights, biases, x: np.ndarray, t: np.ndarray, gw, gb) -> np.ndarray:
-    """Per-network mean losses (R,) of a stack on x (R, m, d); gradients go into gw, gb.
+class _StepBuffers(NamedTuple):
+    """The arrays one SGD step of a stack writes, made once per (stack size, batch rows)."""
 
-    gw and gb are the per-layer views (``_layers``) of one (R, P) gradient
-    array, and every entry of it is written.
+    hidden: list[np.ndarray]  # (R, m, width): each hidden layer's output
+    backs: list[np.ndarray]  # (R, m, width): the loss gradient w.r.t. that output
+    scores: np.ndarray  # (W, R, m): the scores of a window of W batches
+
+
+def _step_buffers(arch: Architecture, stack: int, rows: int, batches: int) -> _StepBuffers:
+    """Step buffers of `stack` networks on `batches` batches of `rows` rows.
+
+    The score window holds as many of the batches as stay under
+    _BLOCK_BYTES, like a block of ``score``, and at least one.
     """
-    stack, s = _forward_stack(weights, biases, x)
-    m = x.shape[1]
-    batch_loss = np.add.reduce(_softplus(s) - t * s, axis=1) / m  # the bits of np.mean
+    window = min(batches, max(1, (_BLOCK_BYTES - 1) // (8 * stack * rows)))
+    return _StepBuffers([np.empty((stack, rows, h)) for h in arch.hidden_sizes],
+                        [np.empty((stack, rows, h)) for h in arch.hidden_sizes],
+                        np.empty((window, stack, rows)))
+
+
+def _backprop(weights, biases, x: np.ndarray, t: np.ndarray, grads, buffers: _StepBuffers,
+              s: np.ndarray) -> None:
+    """Gradients of each network's mean loss on one batch of a stack; the scores go into s.
+
+    x is (R, m, d) and t (R, m).  grads are the per-layer views
+    (``_layers``) of one (R, P) gradient array, and every entry of it is
+    written.  s (R, m) is one batch of ``buffers.scores``; the hidden-layer
+    outputs in ``buffers`` are overwritten by the backward pass.
+    """
+    stack, _ = _forward_stack(weights, biases, x, [*buffers.hidden, s[..., None]])
     # d(mean loss)/d(score) = (sigmoid(s) - t) / m
-    delta = ((sigmoid(s) - t) / m)[..., None]
-    np.matmul(stack[-1].transpose(0, 2, 1), delta, out=gw[-1])
-    np.add.reduce(delta, axis=1, out=gb[-1])
-    back = delta @ weights[-1].transpose(0, 2, 1)
-    for layer in range(len(weights) - 2, -1, -1):
-        a = stack[layer + 1]
-        dh = back * (1.0 - a * a)  # tanh' in terms of the tanh output
+    dh = sigmoid(s)
+    dh -= t
+    dh /= x.shape[1]
+    dh = dh[..., None]
+    gw, gb = grads
+    for layer in range(len(weights) - 1, -1, -1):
         np.matmul(stack[layer].transpose(0, 2, 1), dh, out=gw[layer])
         np.add.reduce(dh, axis=1, out=gb[layer])
         if layer:
-            back = dh @ weights[layer].transpose(0, 2, 1)
-    return batch_loss
+            back, w = buffers.backs[layer - 1], weights[layer].transpose(0, 2, 1)
+            if dh.shape[-1] == 1:
+                # a matmul over an inner dimension of 1 runs in numpy's own loop,
+                # slower than a multiply; that loop starts each sum at +0.0, so
+                # a -0.0 product reads +0.0 there
+                np.multiply(dh, w, out=back)
+                back += 0.0
+            else:
+                np.matmul(dh, w, out=back)
+            a = stack[layer]  # read for the last time just above
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)  # tanh' in terms of the tanh output
+            back *= a
+            dh = back
+
+
+def _add_window_losses(running: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """running (R,) plus the loss sums of a window of batches, added in batch order.
+
+    s and t are the (W, R, m) scores and targets of W batches of m rows.
+    Each batch adds m times its mean loss (the bits of np.mean), as the
+    step that scored it would have.  s is overwritten.
+    """
+    m = s.shape[-1]
+    losses = _softplus(s)
+    losses -= np.multiply(t, s, out=s)
+    sums = np.add.reduce(losses, axis=2) / m * m
+    sums[0] += running
+    return np.add.accumulate(sums, axis=0)[-1]
 
 
 def grad(params: MlpParams, x, targets) -> Gradients:
@@ -300,8 +366,9 @@ def grad(params: MlpParams, x, targets) -> Gradients:
         raise ValueError("grad needs at least one sample")
     t = _as_targets(targets, x.shape[:1])
     g = np.empty(sum(a.size for a in params.weights + params.biases))  # the layout of _layers
-    _loss_and_grads([w[None] for w in params.weights], [b[None, None] for b in params.biases],
-                    x[None], t[None], *_layers(params.arch, g[None]))
+    buffers = _step_buffers(params.arch, 1, x.shape[0], 1)
+    _backprop([w[None] for w in params.weights], [b[None, None] for b in params.biases],
+              x[None], t[None], _layers(params.arch, g[None]), buffers, buffers.scores[0])
     return Gradients(*_layers(params.arch, g))
 
 
@@ -347,6 +414,10 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     shuffles = [make_rng(seed, "mlp-shuffle") for seed in seeds]
 
     xs, ts = np.empty_like(x), np.empty_like(t)  # this epoch's rows of each live network
+    full = n - n % cfg.batch_size
+    spans = [(rows, range(start, stop, cfg.batch_size))  # (batch rows, batch starts)
+             for rows, start, stop in ((cfg.batch_size, 0, full), (n - full, full, n)) if start < stop]
+    buffers: dict[tuple[int, int], _StepBuffers] = {}  # (live networks, batch rows) -> step buffers
     live = np.arange(len(seeds))  # the networks still training, in stack order
     epoch_losses: list[list[float]] = [[] for _ in seeds]
     results: list[TrainResult] = [None] * len(seeds)
@@ -356,20 +427,28 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
         biases = tuple(b[:, None] for b in biases)  # (R, 1, fan_out) broadcasts over a batch
         g = np.empty_like(theta)
         grads = _layers(arch, g)
+        decay = np.empty((live.size, n_weights)) if cfg.weight_decay else None
         for k, r in enumerate(live):
             order = shuffles[r].permutation(n)
             np.take(x[r], order, axis=0, out=xs[k])
             np.take(t[r], order, out=ts[k])
         running = np.zeros(live.size)
-        for start in range(0, n, cfg.batch_size):
-            batch = slice(start, start + cfg.batch_size)
-            batch_loss = _loss_and_grads(weights, biases, xs[:, batch], ts[:, batch], *grads)
-            running += batch_loss * (min(n, batch.stop) - start)
-            if cfg.weight_decay:
-                g[:, :n_weights] += cfg.weight_decay * theta[:, :n_weights]
-            velocity *= cfg.momentum
-            velocity -= cfg.learning_rate * g
-            theta += velocity
+        for rows, starts in spans:
+            if (live.size, rows) not in buffers:
+                buffers[live.size, rows] = _step_buffers(arch, live.size, rows, len(starts))
+            step = buffers[live.size, rows]
+            for first in range(0, len(starts), len(step.scores)):
+                window = starts[first:first + len(step.scores)]
+                for s, start in zip(step.scores, window):
+                    batch = slice(start, start + rows)
+                    _backprop(weights, biases, xs[:, batch], ts[:, batch], grads, step, s)
+                    if cfg.weight_decay:
+                        g[:, :n_weights] += np.multiply(theta[:, :n_weights], cfg.weight_decay, out=decay)
+                    velocity *= cfg.momentum
+                    velocity -= np.multiply(g, cfg.learning_rate, out=g)
+                    theta += velocity
+                targets = ts[:, window[0]:window[-1] + rows].reshape(live.size, len(window), rows)
+                running = _add_window_losses(running, step.scores[:len(window)], targets.transpose(1, 0, 2))
         loss_now = running / n
         for r, value in zip(live, loss_now.tolist()):
             if not math.isfinite(value):
@@ -390,6 +469,7 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
             keep = ~done
             live, theta, velocity, tail = live[keep], theta[keep], velocity[keep], tail[keep]
             xs, ts = xs[:live.size], ts[:live.size]
+            buffers.clear()
             if not live.size:
                 break
         loss_before = loss_now[~done]
@@ -407,17 +487,22 @@ def shift_bias(params: MlpParams, delta: float) -> MlpParams:
     return MlpParams(params.arch, params.weights, params.biases[:-1] + (new_last,))
 
 
-def classify(params: MlpParams, x, threshold: float = 0.5):
-    """Class decision at a probability threshold; ties go to class 1.
-
-    The threshold is converted once to score space (its logit), and the
-    decision is the single comparison score >= logit(threshold) — for the
-    default 0.5 that is exactly score >= 0.
-    """
+def score_cut(threshold: float) -> float:
+    """The score at which a probability threshold decides: its logit, exactly 0.0 at 0.5."""
     threshold = float(threshold)
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
-    cut = math.log(threshold / (1.0 - threshold))
+    return math.log(threshold / (1.0 - threshold))
+
+
+def classify(params: MlpParams, x, threshold: float = 0.5):
+    """Class decision at a probability threshold; ties go to class 1.
+
+    The threshold is converted once to score space (``score_cut``), and the
+    decision is the single comparison score >= logit(threshold) — for the
+    default 0.5 that is exactly score >= 0.
+    """
+    cut = score_cut(threshold)
     s = score(params, x)
     if isinstance(s, float):
         return int(s >= cut)

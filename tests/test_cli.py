@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from labelnoise import mlp, synthdata
 from labelnoise.calculus import (
@@ -415,13 +417,73 @@ def test_fig_requires_outdir_unless_printing(capsys):
     ('{"runs": Infinity}', "runs"),
     ('{"runs": NaN}', "runs"),
     ('{"learning_rate": Infinity}', "learning_rate"),
+    (b'{"runs": 1,\n "epochs": \xff}', "line 2: not UTF-8"),
+    ('{"runs": 1, "runs": 2}', "duplicate key 'runs'"),
 ])
 def test_fig_config_problems_exit_two_and_name_the_key(capsys, tmp_path, payload, fragment):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(payload)
+    cfg.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
     code, _, err = run_cli(capsys, "fig3", "--config", str(cfg), "--outdir", str(tmp_path / "o"))
     assert code == 2
+    assert err.startswith(f"error: config {cfg}: ")
     assert fragment in err
+
+
+def _json_pairs(doc: dict) -> list[list[str]]:
+    """A config object as [key text, value text] pairs; a list value as its element texts."""
+    return [[json.dumps(key), json.dumps(value) if not isinstance(value, list)
+             else [json.dumps(v) for v in value]] for key, value in doc.items()]
+
+
+def _json_text(pairs) -> str:
+    return "{" + ", ".join(f"{key}: " + (value if isinstance(value, str) else "[" + ", ".join(value) + "]")
+                           for key, value in pairs) + "}\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(figure=st.sampled_from(["fig2", "fig3"]),
+       kind=st.sampled_from(["drop-key", "duplicate-key", "value", "list-element", "non-utf8", "truncate"]),
+       data=st.data())
+def test_fig_config_file_loads_or_exits_two_naming_the_file(capsys, tmp_path, figure, kind, data):
+    code, printed, _ = run_cli(capsys, figure, "--print-config")
+    pairs = _json_pairs(json.loads(printed))
+    i = data.draw(st.integers(0, len(pairs) - 1), label="key index")
+    bad = st.sampled_from(["Infinity", "-Infinity", "NaN", "1e400", "-1e400", "1e308", "true", "false",
+                           "null", '"4"', '"x"', "[]", "[[1]]", "[0.1, [0.2]]", "{}", '{"a": 1}',
+                           "0", "-1", "0.5", "1.0", "3", "12345678901234567890"])
+    if kind == "drop-key":
+        del pairs[i]
+    elif kind == "duplicate-key":
+        pairs.insert(data.draw(st.integers(0, len(pairs)), label="at"),
+                     [pairs[i][0], data.draw(st.sampled_from([pairs[i][1], "1"]), label="value")])
+    elif kind == "value":
+        pairs[i][1] = data.draw(bad, label="value")
+    elif kind == "list-element":
+        i = data.draw(st.sampled_from([k for k, (_, v) in enumerate(pairs) if isinstance(v, list)]))
+        pairs[i][1][data.draw(st.integers(0, len(pairs[i][1]) - 1))] = data.draw(bad, label="element")
+    raw = _json_text(pairs).encode()
+    if kind == "non-utf8":
+        at = data.draw(st.integers(0, len(raw)), label="byte offset")
+        raw = raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xe9t\xe9", b"\xed\xa0\x80"])) + raw[at:]
+    elif kind == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    path = tmp_path / "mutated.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, figure, "--config", str(path), "--print-config")
+    assert "Traceback" not in err
+    if code == 0:
+        assert kind not in ("duplicate-key", "non-utf8")
+        resolved = json.loads(out)
+        cls = EfficiencyGridConfig if figure == "fig2" else FlipRatioGridConfig
+        assert json.dumps(dataclasses.asdict(cls(**resolved)), indent=2, sort_keys=True) + "\n" == out
+        assert err == ""
+    else:
+        assert code == 2, err
+        assert err.startswith(f"error: config {path}: ") and err.count("\n") == 1, err
+        if kind == "duplicate-key":
+            assert "duplicate key" in err
+        if kind == "non-utf8":
+            assert "not UTF-8" in err
 
 
 # ----------------------------------------------------------------- bernoulli

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from labelnoise import synthdata
+from labelnoise import mlp, synthdata
 from labelnoise.experiments import (
     RESULTS_FIELDS,
     SUMMARY_FIELDS,
@@ -110,6 +110,22 @@ def test_each_run_draws_its_world_once(monkeypatch):
     run_grid(cfg, jobs=1)
     run_grid(cfg, jobs=1)
     assert calls == {"make_random_problem": 5, "bayes_accuracy": 5}
+
+
+def test_each_cell_is_scored_in_one_pass(monkeypatch):
+    passes = []
+    original = mlp.score
+
+    def counted(params, x):
+        passes.append(len(x))
+        return original(params, x)
+
+    monkeypatch.setattr(mlp, "score", counted)
+    cfg = FlipRatioGridConfig(runs=1, epochs=1, train_size=200)
+    rows = run_grid(cfg, jobs=1)
+    # six of the eight cells are asymmetric and decide at two thresholds
+    assert sum(row.threshold != 0.5 for row in rows) == 6
+    assert passes == [cfg.test_size] * 8
 
 
 def test_grid_results_do_not_depend_on_worker_count():

@@ -418,18 +418,25 @@ def test_train_matches_the_per_layer_reference_bit_for_bit(hidden, kwargs):
         assert len(epoch_losses) < cfg.epochs  # the case does stop early
 
 
-@pytest.mark.parametrize("networks, hidden, kwargs", [
-    pytest.param(1, (3,), dict(), id="one"),
-    pytest.param(3, (5, 4), dict(weight_decay=1e-2, average_tail=2), id="three"),
-    pytest.param(8, (15, 15), dict(), id="eight"),
-    pytest.param(8, (6, 5, 4), dict(epochs=12, momentum=0.5, early_stop_tol=2e-3, average_tail=3),
+@pytest.mark.parametrize("networks, hidden, kwargs, rows", [
+    pytest.param(1, (3,), dict(), 70, id="one"),
+    pytest.param(3, (5, 4), dict(weight_decay=1e-2, average_tail=2), 70, id="three"),
+    pytest.param(8, (15, 15), dict(), 70, id="eight"),
+    pytest.param(8, (6, 5, 4), dict(epochs=12, momentum=0.5, early_stop_tol=2e-3, average_tail=3), 70,
                  id="eight-stopping-apart"),
+    # the loss window holds under 128 KiB of scores: 511 batches of 32 for one
+    # network, 63 for eight; these epochs fill it and go on into a second window
+    pytest.param(1, (15, 15), dict(epochs=2), 20001, id="one-two-windows"),
+    pytest.param(8, (6, 5, 4), dict(epochs=8, momentum=0.5, early_stop_tol=5e-3), 2100,
+                 id="eight-stopping-apart-two-windows"),
+    pytest.param(3, (4, 3), dict(batch_size=100), 70, id="batch-over-data"),
 ])
-def test_train_stack_matches_separate_reference_runs_bit_for_bit(networks, hidden, kwargs):
-    # 70 rows at batch 32: every epoch ends on a partial batch of 6
+def test_train_stack_matches_separate_reference_runs_bit_for_bit(networks, hidden, kwargs, rows):
+    # at batch 32 every epoch ends on a partial batch: of 6 rows for 70 rows,
+    # 1 for 20001 and 20 for 2100
     arch = Architecture(hidden_sizes=hidden)
     cfg = TrainConfig(**{**dict(epochs=5, batch_size=32, learning_rate=0.1, momentum=0.9), **kwargs})
-    data = [flip_labels(sample_dataset(make_random_problem(84 + r, 2.5), 70, 85 + r),
+    data = [flip_labels(sample_dataset(make_random_problem(84 + r, 2.5), rows, 85 + r),
                         NoiseParams(0.3, 0.1), 86 + r) for r in range(networks)]
     seeds = [200 + 7 * r for r in range(networks)]
     results = train_stack(np.array([d.x for d in data]), np.array([d.z_observed for d in data]),
