@@ -28,7 +28,6 @@ for any --jobs value.
 
 import math
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import groupby, repeat
 
@@ -252,6 +251,9 @@ def run_grid(cfg: GridConfig, jobs: int = 1) -> list[ResultRow]:
     if jobs == 1:
         rows = _run_chunk(cfg, tasks)
     else:
+        # imported here: it pulls in multiprocessing, socket and subprocess
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = _split(tasks, min(jobs, len(tasks)))  # one pool task each
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             rows = [row for chunk in pool.map(_run_chunk, repeat(cfg), chunks) for row in chunk]

@@ -19,7 +19,10 @@ per-layer views (``_layers``) are (R, fan_in, fan_out) weights and
 (R, fan_out) biases, so a minibatch step is one batched matmul per layer.
 Each batched operation does for every network what it does for one alone,
 so a stack gives each network the bits it would get alone; ``train`` is
-the stack of one.  MlpParams and Gradients keep one array per layer.
+the stack of one.  The views are made once, and again only when a network
+leaves the stack (which re-indexes theta).  Each epoch, every network draws
+its own shuffle, and one gather from the stacked inputs serves the stack.
+MlpParams and Gradients keep one array per layer.
 
 An SGD step (``_backprop``, then the momentum update) allocates almost
 nothing: each operation writes with ``out=`` into step buffers made once per
@@ -38,10 +41,11 @@ memory.
 whole 20 000-row batch would make every layer output a 2.4 MB temporary, and
 glibc's malloc maps each one fresh and unmaps it on free, so that a call
 paid over a thousand page faults; a block's temporaries stay under malloc's
-mmap threshold and reuse heap pages.  A row's score depends only on that
-row, and for the default network the blocks give the bits of one
-whole-batch pass.  The grids' lockstep stacks take their size cap from the
-same rule.
+mmap threshold and reuse heap pages.  The layer outputs, and the biases
+tiled to a block's rows, are made once per call.  A row's score depends
+only on that row, and for the default network the blocks give the bits of
+one whole-batch pass.  The grids' lockstep stacks take their size cap from
+the same rule.
 """
 
 import math
@@ -229,9 +233,10 @@ def _layers(arch: Architecture, theta: np.ndarray) -> tuple[tuple[np.ndarray, ..
 def _forward_stack(weights, biases, x: np.ndarray, out=None) -> tuple[list[np.ndarray], np.ndarray]:
     """Layer inputs and scores: one network on (m, d), or a stack on (R, m, d).
 
-    A stack's biases are (R, 1, fan_out), so that they broadcast over the
-    batch.  ``out``, when given, holds one output array per layer (the last
-    one (..., m, 1)), which the pass fills in place of new arrays.
+    Biases broadcast over the batch: (fan_out,), a stack's (R, 1, fan_out),
+    or (m, fan_out) rows of a tiled bias.  ``out``, when given, holds one
+    output array per layer (the last one (..., m, 1)), which the pass fills
+    in place of new arrays.
     """
     a = x
     stack = [a]
@@ -248,15 +253,24 @@ def score(params: MlpParams, x):
     """Raw pre-sigmoid output; one point (input_dim,) -> float, batch (m, input_dim) -> (m,).
 
     A batch is scored ``block_rows`` rows at a time into one output vector.
+    The layer outputs and the biases, tiled to a block's rows, are made once
+    per call: a (width,) bias added to a block runs one short inner loop per
+    row, a tiled one a single contiguous loop.
     """
     x, single = _as_batch(params.arch.input_dim, x)
     m = x.shape[0]
     s = np.empty(m)
     # a last block of one row would take BLAS's vector kernel, whose bits
     # differ from its matrix kernel's: it joins the block before it
-    starts = range(0, max(m - 1, 1), block_rows(params.arch))
+    rows = block_rows(params.arch)
+    starts = range(0, max(m - 1, 1), rows)
+    most = min(m, rows + 1)  # the rows of the largest block
+    biases = [np.tile(b, (most, 1)) for b in params.biases]
+    outs = [np.empty((most, b.size)) for b in params.biases]
     for start, stop in zip(starts, [*starts[1:], m]):
-        _, s[start:stop] = _forward_stack(params.weights, params.biases, x[start:stop])
+        k = stop - start
+        _, s[start:stop] = _forward_stack(params.weights, [b[:k] for b in biases], x[start:stop],
+                                          [out[:k] for out in outs])
     return float(s[0]) if single else s
 
 
@@ -413,6 +427,7 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     tail = np.full_like(theta, -0.0)  # -0.0 + p is p bit for bit, for p = +0.0 too
     shuffles = [make_rng(seed, "mlp-shuffle") for seed in seeds]
 
+    x_rows, t_rows = x.reshape(-1, arch.input_dim), t.reshape(-1)  # network r owns rows r*n ..
     xs, ts = np.empty_like(x), np.empty_like(t)  # this epoch's rows of each live network
     full = n - n % cfg.batch_size
     spans = [(rows, range(start, stop, cfg.batch_size))  # (batch rows, batch starts)
@@ -422,16 +437,20 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     epoch_losses: list[list[float]] = [[] for _ in seeds]
     results: list[TrainResult] = [None] * len(seeds)
     averaged = 0
+    restack = True
     for epoch in range(cfg.epochs):
-        weights, biases = _layers(arch, theta)  # views: they follow every update of theta
-        biases = tuple(b[:, None] for b in biases)  # (R, 1, fan_out) broadcasts over a batch
-        g = np.empty_like(theta)
-        grads = _layers(arch, g)
-        decay = np.empty((live.size, n_weights)) if cfg.weight_decay else None
-        for k, r in enumerate(live):
-            order = shuffles[r].permutation(n)
-            np.take(x[r], order, axis=0, out=xs[k])
-            np.take(t[r], order, out=ts[k])
+        if restack:  # views follow theta's in-place updates, until a network leaves the stack
+            weights, biases = _layers(arch, theta)
+            biases = tuple(b[:, None] for b in biases)  # (R, 1, fan_out) broadcasts over a batch
+            g = np.empty_like(theta)
+            grads = _layers(arch, g)
+            decay = np.empty((live.size, n_weights)) if cfg.weight_decay else None
+            restack = False
+        # each network shuffles its own rows, in stack order; one gather serves the stack
+        order = np.array([shuffles[r].permutation(n) for r in live])
+        order += live[:, None] * n
+        np.take(x_rows, order, axis=0, out=xs)
+        np.take(t_rows, order, out=ts)
         running = np.zeros(live.size)
         for rows, starts in spans:
             if (live.size, rows) not in buffers:
@@ -470,6 +489,7 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
             live, theta, velocity, tail = live[keep], theta[keep], velocity[keep], tail[keep]
             xs, ts = xs[:live.size], ts[:live.size]
             buffers.clear()
+            restack = True
             if not live.size:
                 break
         loss_before = loss_now[~done]

@@ -44,9 +44,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
+    """Powers of ten in [lo, hi]; where fewer than two fit, 2x and 5x too, then every mantissa."""
     lo_e = math.floor(math.log10(lo))
     hi_e = math.ceil(math.log10(hi))
-    return [10.0 ** e for e in range(lo_e, hi_e + 1) if lo <= 10.0 ** e <= hi * (1 + 1e-9)]
+    for mantissas in ((1,), (1, 2, 5), range(1, 10)):
+        ticks = [m * 10.0 ** e for e in range(lo_e, hi_e + 1) for m in mantissas
+                 if lo <= m * 10.0 ** e <= hi * (1 + 1e-9)]
+        if len(ticks) >= 2:
+            break
+    return ticks
 
 
 def _fmt_tick(v: float) -> str:

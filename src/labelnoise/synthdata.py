@@ -7,6 +7,11 @@ trained model is judged against.  Random problems make class 1 a rigid
 translate of class 0, which turns the translation distance into a clean
 difficulty knob: zero separation means indistinguishable classes.
 
+Densities are evaluated in log space.  The log-sum-exp over a mixture's
+components makes one elementwise pass per component (``gmm_log_density``):
+a stacked (m, k) array reduced along its last axis would run one short
+inner loop per point, for the random problems' k = 2 components.
+
 Label corruption is feature-independent flipping applied after sampling,
 so a corrupted dataset carries both the clean label y and the observed
 label z.  All sampling is a pure function of (problem, n, seed); random
@@ -180,25 +185,29 @@ def _component_log_pdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.n
     return -_LOG_2PI - 0.5 * math.log(det) - 0.5 * quad
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
-    return out
-
-
 def gmm_log_density(model: GmmClassModel, x) -> float | np.ndarray:
-    """Log mixture density at x; accepts one point (2,) or a batch (m, 2)."""
+    """Log mixture density at x; accepts one point (2,) or a batch (m, 2).
+
+    The log-sum-exp over components makes one elementwise pass per
+    component: the running maximum, then the exp terms added left to right,
+    the order a numpy sum over fewer than 8 components takes.
+    """
     x = _as_points(x)
     with np.errstate(divide="ignore"):
         log_w = np.log(model.weights)
-    per_comp = np.stack(
-        [log_w[i] + _component_log_pdf(x, model.means[i], model.covariances[i])
-         for i in range(model.n_components)],
-        axis=-1,
-    )
-    out = _logsumexp(per_comp, axis=-1)
+    # arrays even for one point, so that the passes below can write in place
+    terms = [np.asarray(log_w[i] + _component_log_pdf(x, model.means[i], model.covariances[i]))
+             for i in range(model.n_components)]
+    top = terms[0]
+    for term in terms[1:]:
+        top = np.maximum(top, term)
+    top = np.where(np.isfinite(top), top, 0.0)
+    total = np.zeros_like(top)
+    for term in terms:
+        term -= top
+        total += np.exp(term, out=term)
+    with np.errstate(divide="ignore"):
+        out = np.log(total) + top
     return float(out) if out.ndim == 0 else out
 
 

@@ -233,6 +233,13 @@ def module_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # only `--jobs` > 1 needs the pool, and its import pulls in multiprocessing and subprocess
+    code = "import sys, labelnoise.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=module_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_console_script_is_installed():
     # `python -m labelnoise.cli` runs main() from a checkout, the way the `labelnoise` script does
     env = module_env()

@@ -93,6 +93,21 @@ def test_log_axis_ticks_are_powers_of_ten():
         assert tick in svg
 
 
+def x_tick_labels(svg):
+    return [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")
+            if t.getAttribute("font-size") == "12" and t.getAttribute("text-anchor") == "middle"]
+
+
+@pytest.mark.parametrize("xs, labels", [
+    ((200.0, 2000.0, 20000.0), ["1000", "10000"]),  # the default fig2 sizes: powers of ten alone
+    ((100.0, 200.0, 400.0), ["100", "200"]),  # one power of ten: 2x and 5x join it
+    ((200.0, 300.0), ["200", "300"]),  # none, nor a 2x and 5x pair: every mantissa
+])
+def test_log_axis_labels_at_least_two_x_ticks(xs, labels):
+    s = Series(label="a", xs=xs, ys=tuple(0.1 * (i + 1) for i in range(len(xs))))
+    assert x_tick_labels(render([s], x_log=True)) == labels
+
+
 def test_single_point_series_renders():
     svg = render([Series(label="dot", xs=(5.0,), ys=(0.5,))])
     assert "<polyline " in svg

@@ -71,6 +71,80 @@ def test_log_density_matches_log_of_density():
         assert gmm_log_density(model, x) == pytest.approx(math.log(gmm_density(model, x)), rel=1e-12)
 
 
+def reference_log_density(model, x):
+    """gmm_log_density as one log-sum-exp over a stacked (..., k) array: the reference."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(model.weights)
+    a = np.stack([log_w[i] + synthdata._component_log_pdf(x, model.means[i], model.covariances[i])
+                  for i in range(model.n_components)], axis=-1)
+    m = np.max(a, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - m).sum(axis=-1)) + np.squeeze(m, axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def random_mixture(k, seed):
+    """k components, the second (if any) with weight 0, so a log-weight of -inf."""
+    rng = make_rng(seed, "mixture")
+    w = rng.dirichlet(np.ones(k))
+    if k > 1:
+        w[1] = 0.0
+        w /= w.sum()
+    covs = []
+    for _ in range(k):
+        a = rng.normal(size=(2, 2))
+        c = a @ a.T + 0.3 * np.eye(2)
+        covs.append((c + c.T) / 2.0)
+    return GmmClassModel(w, rng.uniform(-3.0, 3.0, size=(k, 2)), np.array(covs))
+
+
+def mixture_points(seed):
+    """Points near the mixtures and far in the tails, where the quadratic form overflows."""
+    rng = make_rng(seed, "points")
+    return np.concatenate([rng.normal(scale=3.0, size=(20000, 2)),
+                           rng.normal(scale=1e155, size=(40, 2)),
+                           [[1e200, -1e200], [1e300, 0.0], [0.0, 0.0]]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_log_density_keeps_the_bits_of_a_stacked_log_sum_exp(k):
+    model = random_mixture(k, k)
+    x = mixture_points(k)
+    got, want = gmm_log_density(model, x), reference_log_density(model, x)
+    assert np.isneginf(want).any()
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    for i in (0, 20000, 20040):
+        assert math.copysign(1.0, gmm_log_density(model, x[i])) == math.copysign(1.0, want[i])
+        assert gmm_log_density(model, x[i]) == want[i]
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_log_density_of_many_components_agrees_within_float64_rounding(k):
+    """From 8 components a numpy sum adds in 8-way pairwise order, not left to right.
+
+    The two orders each round a sum of k terms in [0, 1], one of them 1, so
+    they differ by at most 2k float64 epsilons relative to that sum, which
+    is that much absolutely after the log; adding the maximum back rounds
+    each result once more, by at most an epsilon of the result's size.
+    """
+    eps = np.finfo(np.float64).eps
+    model = random_mixture(k, k)
+    x = mixture_points(k)
+    np.testing.assert_allclose(gmm_log_density(model, x), reference_log_density(model, x),
+                               rtol=2 * eps, atol=2 * k * eps)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 20250])
+def test_bayes_accuracy_keeps_the_value_of_the_stacked_log_sum_exp(seed, monkeypatch):
+    problem = make_random_problem(seed, 2.5)
+    test = sample_dataset(problem, 20000, seed + 1)
+    got = bayes_accuracy(problem, test)
+    monkeypatch.setattr(synthdata, "gmm_log_density", reference_log_density)
+    assert bayes_accuracy(problem, test) == got
+
+
 def test_model_validation():
     eye = np.eye(2)[None, :, :]
     with pytest.raises(ValueError):
