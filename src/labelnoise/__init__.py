@@ -65,7 +65,6 @@ from .synthdata import (
     bayes_accuracy,
     clean_posterior,
     flip_labels,
-    gmm_density,
     gmm_log_density,
     load_dataset_csv,
     make_random_problem,

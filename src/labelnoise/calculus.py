@@ -191,7 +191,7 @@ def _as_binary_array(observations) -> np.ndarray:
     obs = np.asarray(observations)
     if obs.size == 0:
         raise ValueError("need at least one observation")
-    if not np.isin(obs, (0, 1)).all():
+    if not ((obs == 0) | (obs == 1)).all():
         raise ValueError("observations must all be 0 or 1")
     return obs.astype(np.float64).ravel()
 

@@ -19,14 +19,14 @@ per-layer views (``_layers``) are (R, fan_in, fan_out) weights and
 (R, fan_out) biases, so a minibatch step is one batched matmul per layer.
 Each batched operation does for every network what it does for one alone,
 so a stack gives each network the bits it would get alone; ``train`` is
-the stack of one.  The views are made once, and again only when a network
-leaves the stack (which re-indexes theta).  Each epoch, every network draws
-its own shuffle, and one gather from the stacked inputs serves the stack.
+the stack of one.  A stack keeps its shape for the whole call, so its views
+and buffers are made once per call.  Each epoch, every network draws its
+own shuffle, and one gather from the stacked inputs serves the stack.
 MlpParams and Gradients keep one array per layer.
 
 An SGD step (``_backprop``, then the momentum update) allocates almost
 nothing: each operation writes with ``out=`` into step buffers made once per
-(stack size, batch rows) (``_step_buffers``), and the step leaves its
+call and batch size (``_step_buffers``), and the step leaves its
 scores in a window of batches instead of computing its loss.  An epoch's
 loss needs only the per-batch losses summed in batch order, so they are
 computed from the stored scores when the window fills and at the end of
@@ -282,7 +282,7 @@ def _as_targets(t, shape: tuple[int, ...]) -> np.ndarray:
     t = np.asarray(t)
     if t.shape != shape:
         raise ValueError(f"targets must have shape {shape}, got {t.shape}")
-    if not np.isin(t, (0, 1)).all():
+    if not ((t == 0) | (t == 1)).all():
         raise ValueError("targets must be 0 or 1")
     return t.astype(np.float64, copy=False)
 
@@ -303,7 +303,7 @@ def loss(params: MlpParams, x, targets) -> float:
 
 
 class _StepBuffers(NamedTuple):
-    """The arrays one SGD step of a stack writes, made once per (stack size, batch rows)."""
+    """The arrays one SGD step of a stack writes, made once per call and batch size."""
 
     hidden: list[np.ndarray]  # (R, m, width): each hidden layer's output
     backs: list[np.ndarray]  # (R, m, width): the loss gradient w.r.t. that output
@@ -404,18 +404,21 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
 
     Network r trains on x[r] (x is (R, n, input_dim)) and targets[r]
     (targets is (R, n)) with cfg and init_seed seeds[r], and gets the bits
-    ``train`` would give it alone: its own initialization, its own shuffle
-    and its own early stop.  Raises TrainingDivergedError when an epoch
-    loss of any network stops being finite.
+    ``train`` would give it alone: its own initialization and its own
+    shuffle.  The stack keeps its shape for the whole call, so early stop
+    (cfg.early_stop_tol) takes a stack of one network.  Raises
+    TrainingDivergedError when an epoch loss of any network stops being finite.
     """
     x = np.asarray(x, dtype=np.float64)
     seeds = list(seeds)
     if x.ndim != 3 or x.shape[0] != len(seeds) or x.shape[2] != arch.input_dim:
         raise ValueError(f"inputs must have shape ({len(seeds)}, n, {arch.input_dim}) "
                          f"for {len(seeds)} seeds, got {x.shape}")
-    n = x.shape[1]
+    stack, n = x.shape[:2]
     if not seeds or n < 1:
         raise ValueError("training needs at least one network and one sample")
+    if cfg.early_stop_tol is not None and stack > 1:
+        raise ValueError(f"early stop takes a stack of one network, got {stack}")
     if not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
     t = _as_targets(targets, x.shape[:2])
@@ -426,36 +429,29 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     velocity = np.zeros_like(theta)
     tail = np.full_like(theta, -0.0)  # -0.0 + p is p bit for bit, for p = +0.0 too
     shuffles = [make_rng(seed, "mlp-shuffle") for seed in seeds]
+    weights, biases = _layers(arch, theta)  # views that follow theta's in-place updates
+    biases = tuple(b[:, None] for b in biases)  # (R, 1, fan_out) broadcasts over a batch
+    g = np.empty_like(theta)
+    grads = _layers(arch, g)
+    decay = np.empty((stack, n_weights)) if cfg.weight_decay else None
 
     x_rows, t_rows = x.reshape(-1, arch.input_dim), t.reshape(-1)  # network r owns rows r*n ..
-    xs, ts = np.empty_like(x), np.empty_like(t)  # this epoch's rows of each live network
+    xs, ts = np.empty_like(x), np.empty_like(t)  # this epoch's rows of each network
     full = n - n % cfg.batch_size
-    spans = [(rows, range(start, stop, cfg.batch_size))  # (batch rows, batch starts)
-             for rows, start, stop in ((cfg.batch_size, 0, full), (n - full, full, n)) if start < stop]
-    buffers: dict[tuple[int, int], _StepBuffers] = {}  # (live networks, batch rows) -> step buffers
-    live = np.arange(len(seeds))  # the networks still training, in stack order
-    epoch_losses: list[list[float]] = [[] for _ in seeds]
-    results: list[TrainResult] = [None] * len(seeds)
+    spans = [(rows, starts, _step_buffers(arch, stack, rows, len(starts)))  # batch rows, starts, buffers
+             for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)),
+                                  (n - full, range(full, n, cfg.batch_size))) if starts]
+    epoch_losses: list[list[float]] = []  # per epoch, one loss per network
     averaged = 0
-    restack = True
     for epoch in range(cfg.epochs):
-        if restack:  # views follow theta's in-place updates, until a network leaves the stack
-            weights, biases = _layers(arch, theta)
-            biases = tuple(b[:, None] for b in biases)  # (R, 1, fan_out) broadcasts over a batch
-            g = np.empty_like(theta)
-            grads = _layers(arch, g)
-            decay = np.empty((live.size, n_weights)) if cfg.weight_decay else None
-            restack = False
-        # each network shuffles its own rows, in stack order; one gather serves the stack
-        order = np.array([shuffles[r].permutation(n) for r in live])
-        order += live[:, None] * n
-        np.take(x_rows, order, axis=0, out=xs)
-        np.take(t_rows, order, out=ts)
-        running = np.zeros(live.size)
-        for rows, starts in spans:
-            if (live.size, rows) not in buffers:
-                buffers[live.size, rows] = _step_buffers(arch, live.size, rows, len(starts))
-            step = buffers[live.size, rows]
+        # each network shuffles its own rows, in stack order; one gather serves the stack.
+        # The indices are always in range; mode="raise" would gather through a hidden copy of out
+        order = np.array([shuffle.permutation(n) for shuffle in shuffles])
+        order += np.arange(stack)[:, None] * n
+        np.take(x_rows, order, axis=0, out=xs, mode="clip")
+        np.take(t_rows, order, out=ts, mode="clip")
+        running = np.zeros(stack)
+        for rows, starts, step in spans:
             for first in range(0, len(starts), len(step.scores)):
                 window = starts[first:first + len(step.scores)]
                 for s, start in zip(step.scores, window):
@@ -466,34 +462,23 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
                     velocity *= cfg.momentum
                     velocity -= np.multiply(g, cfg.learning_rate, out=g)
                     theta += velocity
-                targets = ts[:, window[0]:window[-1] + rows].reshape(live.size, len(window), rows)
+                targets = ts[:, window[0]:window[-1] + rows].reshape(stack, len(window), rows)
                 running = _add_window_losses(running, step.scores[:len(window)], targets.transpose(1, 0, 2))
-        loss_now = running / n
-        for r, value in zip(live, loss_now.tolist()):
+        losses = (running / n).tolist()
+        for r, value in enumerate(losses):
             if not math.isfinite(value):
                 raise TrainingDivergedError(f"epoch {epoch + 1}: training loss is {value}"
-                                            + (f" (network {r})" if len(seeds) > 1 else ""))
-            epoch_losses[r].append(value)
+                                            + (f" (network {r})" if stack > 1 else ""))
+        epoch_losses.append(losses)
         if epoch >= cfg.epochs - cfg.average_tail:
             tail += theta
             averaged += 1
-        done = np.full(live.size, epoch == cfg.epochs - 1)
-        if cfg.early_stop_tol is not None and epoch > 0:
-            done |= loss_before - loss_now < cfg.early_stop_tol
-        for k in np.flatnonzero(done):
-            final = tail[k] / averaged if averaged else theta[k]
-            results[live[k]] = TrainResult(MlpParams(arch, *_layers(arch, final)),
-                                           tuple(epoch_losses[live[k]]))
-        if done.any():  # a stopped network leaves the stack
-            keep = ~done
-            live, theta, velocity, tail = live[keep], theta[keep], velocity[keep], tail[keep]
-            xs, ts = xs[:live.size], ts[:live.size]
-            buffers.clear()
-            restack = True
-            if not live.size:
-                break
-        loss_before = loss_now[~done]
-    return results
+        if (cfg.early_stop_tol is not None and epoch > 0
+                and epoch_losses[-2][0] - losses[0] < cfg.early_stop_tol):
+            break
+    final = tail / averaged if averaged else theta
+    return [TrainResult(MlpParams(arch, *_layers(arch, row)), curve)
+            for row, curve in zip(final, zip(*epoch_losses))]
 
 
 def shift_bias(params: MlpParams, delta: float) -> MlpParams:

@@ -117,8 +117,8 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y_clean, dtype=np.int64)
-        z = np.asarray(self.z_observed, dtype=np.int64)
+        y = np.asarray(self.y_clean)
+        z = np.asarray(self.z_observed)
         if x.ndim != 2 or x.shape[1] != 2:
             raise ValueError(f"features must have shape (n, 2), got {x.shape}")
         n = x.shape[0]
@@ -126,12 +126,13 @@ class Dataset:
             raise ValueError("label columns must match the number of feature rows")
         if not np.isfinite(x).all():
             raise ValueError("features must be finite")
+        # checked before the int64 cast, which would truncate a 0.5 to 0
         for name, col in (("y_clean", y), ("z_observed", z)):
-            if not np.isin(col, (0, 1)).all():
+            if not ((col == 0) | (col == 1)).all():
                 raise ValueError(f"{name} must contain only 0/1 values")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y_clean", y)
-        object.__setattr__(self, "z_observed", z)
+        object.__setattr__(self, "y_clean", y.astype(np.int64, copy=False))
+        object.__setattr__(self, "z_observed", z.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -209,11 +210,6 @@ def gmm_log_density(model: GmmClassModel, x) -> float | np.ndarray:
     with np.errstate(divide="ignore"):
         out = np.log(total) + top
     return float(out) if out.ndim == 0 else out
-
-
-def gmm_density(model: GmmClassModel, x) -> float | np.ndarray:
-    """Mixture density at x (non-negative; integrates to 1)."""
-    return np.exp(gmm_log_density(model, x))
 
 
 def _as_points(x) -> np.ndarray:

@@ -296,8 +296,9 @@ def test_mle_flipped_bernoulli_zero_noise_is_sample_mean():
 def test_mle_flipped_bernoulli_validates_input():
     with pytest.raises(ValueError):
         mle_flipped_bernoulli([], NoiseParams(0.1, 0.1))
-    with pytest.raises(ValueError):
-        mle_flipped_bernoulli([0, 1, 2], NoiseParams(0.1, 0.1))
+    for bad in (2, 0.5, math.nan):
+        with pytest.raises(ValueError):
+            mle_flipped_bernoulli([0, 1, bad], NoiseParams(0.1, 0.1))
 
 
 def test_mle_can_overshoot_unclamped():
