@@ -143,16 +143,17 @@ def cmd_train(args) -> int:
 
 def _resolve_threshold(args) -> float:
     if args.threshold is not None:
-        if args.gamma1 is not None or args.gamma0 is not None:
-            raise UsageError("give either --threshold or --gamma1/--gamma0, not both")
+        if any(v is not None for v in (args.gamma1, args.gamma0, args.p1, args.eval_p1)):
+            raise UsageError("give either --threshold or --gamma1/--gamma0 (with --p1/--eval-p1), "
+                             "not both")
         if not 0.0 < args.threshold < 1.0:
             raise UsageError(f"--threshold must lie strictly inside (0, 1), got {args.threshold}")
         return args.threshold
     if args.gamma1 is None or args.gamma0 is None:
         raise UsageError("need a threshold source: --threshold, or both --gamma1 and --gamma0")
     noise = _flags(lambda: NoiseParams(args.gamma1, args.gamma0))
-    clean = _flags(lambda: ClassPriors(args.p1))
-    eval_prior = _flags(lambda: ClassPriors(args.p1 if args.eval_p1 is None else args.eval_p1))
+    clean = _flags(lambda: ClassPriors(0.5 if args.p1 is None else args.p1))
+    eval_prior = _flags(lambda: ClassPriors(clean.p1 if args.eval_p1 is None else args.eval_p1))
     return threshold_from_priors(eval_prior, propagate_priors(clean, noise))
 
 
@@ -337,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the MLP on the observed labels of a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV (from gen)")
     p.add_argument("--out", required=True, help="output model path")
-    p.add_argument("--hidden", type=int, nargs="+", default=[15, 15])
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--early-stop-tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hidden", type=int, nargs="+", default=list(mlp.Architecture.hidden_sizes))
+    p.add_argument("--epochs", type=int, default=mlp.TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=mlp.TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=mlp.TrainConfig.learning_rate)
+    p.add_argument("--momentum", type=float, default=mlp.TrainConfig.momentum)
+    p.add_argument("--weight-decay", type=float, default=mlp.TrainConfig.weight_decay)
+    p.add_argument("--early-stop-tol", type=float, default=mlp.TrainConfig.early_stop_tol)
+    p.add_argument("--seed", type=int, default=mlp.TrainConfig.init_seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a saved model on a dataset CSV")
@@ -353,8 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None, help="explicit decision threshold")
     p.add_argument("--gamma1", type=float, default=None, help="derive the threshold from flip rates")
     p.add_argument("--gamma0", type=float, default=None)
-    p.add_argument("--p1", type=float, default=0.5, help="clean class-1 prior of the training data")
-    p.add_argument("--eval-p1", type=float, default=None)
+    p.add_argument("--p1", type=float, default=None,
+                   help="clean class-1 prior of the training data (default: 0.5)")
+    p.add_argument("--eval-p1", type=float, default=None,
+                   help="class-1 prior of the data to classify (default: same as --p1)")
     p.add_argument("--labels", choices=("clean", "observed"), default="clean",
                    help="which label column to score against")
     p.set_defaults(func=cmd_eval)

@@ -27,7 +27,6 @@ for any --jobs value.
 """
 
 import math
-import typing
 from dataclasses import dataclass, fields
 from itertools import groupby, repeat
 
@@ -43,29 +42,15 @@ def _noise_for_ratio(n: float, ratio: float) -> NoiseParams:
     return NoiseParams(n / (1.0 + ratio), n * ratio / (1.0 + ratio))
 
 
-def _checked_number(name: str, kind: type, value):
-    """value cast to kind (int or float); booleans and non-finite values raise ValueError."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            cast = kind(value)  # int(inf) and float(10**400) overflow, int(nan) fails
-        except (OverflowError, ValueError):
-            pass
-        else:
-            if (cast == value) if kind is int else math.isfinite(cast):
-                return cast
-    expected = "an integer" if kind is int else "a finite number"
-    raise ValueError(f"bad value for {name!r}: expected {expected}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class GridConfig:
     """The fields and checks both grids share; a grid subclass adds its axes and cells(run).
 
-    Each field is cast to its declared type, so a config built in Python
-    gets the checks a config file gets: booleans, non-integral integers,
-    non-finite numbers and empty or non-list sequences raise a ValueError
-    naming the field.  cells(run) lists one run's
-    (experiment, noise, ratio, train_size, cell_seed) tuples.
+    Each field is cast to its declared type (``mlp.cast_fields``), so a
+    config built in Python gets the checks a config file gets: booleans,
+    non-integral integers, non-finite numbers and empty or non-list
+    sequences raise a ValueError naming the field.  cells(run) lists one
+    run's (experiment, noise, ratio, train_size, cell_seed) tuples.
     """
 
     noise_levels: tuple[float, ...]
@@ -79,17 +64,10 @@ class GridConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
+        mlp.cast_fields(self)
         for field in fields(self):
-            value = getattr(self, field.name)
-            if typing.get_origin(field.type) is tuple:
-                if not isinstance(value, (list, tuple)) or not value:
-                    raise ValueError(f"bad value for {field.name!r}: expected a non-empty list "
-                                     f"of numbers, got {value!r}")
-                kind = typing.get_args(field.type)[0]
-                value = tuple(_checked_number(field.name, kind, v) for v in value)
-            else:
-                value = _checked_number(field.name, field.type, value)
-            object.__setattr__(self, field.name, value)
+            if getattr(self, field.name) == ():
+                raise ValueError(f"bad value for {field.name!r}: expected a non-empty list of numbers")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.test_size < 1:
@@ -193,11 +171,11 @@ def _split(items: list, parts: int) -> list[list]:
 def _run_chunk(cfg: GridConfig, tasks: list[tuple]) -> list[ResultRow]:
     """Rows of a run-major slice of the grid's (run, cell) tasks.
 
-    The cells that share a train_size are trained in lockstep stacks of
-    at most ``mlp.block_rows`` rows per step (bigger stacks gain little per
-    network, and their per-step temporaries would cost fresh pages), and then
-    the cells are scored run by run, so the chunk draws each run's problem,
-    test set and ceiling once.
+    Each train size's cells, in task order, are split into lockstep stacks
+    of at most ``mlp.block_rows`` rows per step (bigger stacks gain little per
+    network, and their per-step temporaries would cost fresh pages) and
+    trained stack by stack.  Then the cells are scored run by run, so the
+    chunk draws each run's problem, test set and ceiling once.
     """
     problems = {run: synthdata.make_random_problem(derive_seed(cfg.base_seed, "problem", run),
                                                    cfg.separation_scale, ClassPriors(0.5).p1)
@@ -205,26 +183,21 @@ def _run_chunk(cfg: GridConfig, tasks: list[tuple]) -> list[ResultRow]:
     arch = mlp.Architecture()
     tcfg = mlp.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                            learning_rate=cfg.learning_rate, momentum=cfg.momentum)
-    by_size: dict[int, list[int]] = {}
-    for i, (_, cell) in enumerate(tasks):
-        by_size.setdefault(cell[3], []).append(i)
-    stacks = []  # (train_size, task indices) of each lockstep stack
-    for size, members in by_size.items():
-        step_rows = len(members) * min(size, cfg.batch_size)
-        stacks += [(size, stack) for stack in _split(members, -(-step_rows // mlp.block_rows(arch)))]
     nets = [None] * len(tasks)
-    for size, members in stacks:
-        # filled cell by cell, so that only one Dataset of the stack is alive at a time
-        x, targets, seeds = np.empty((len(members), size, 2)), np.empty((len(members), size)), []
-        for k, i in enumerate(members):
-            run, (_, noise, _, _, cell_seed) = tasks[i]
-            clean = synthdata.sample_dataset(problems[run], size, derive_seed(cell_seed, "train"))
-            noisy = synthdata.flip_labels(clean, noise, derive_seed(cell_seed, "flip"))
-            x[k], targets[k] = noisy.x, noisy.z_observed
-            seeds.append(derive_seed(cell_seed, "init"))
-        results = mlp.train_stack(x, targets, arch, tcfg, seeds)
-        for i, result in zip(members, results):
-            nets[i] = result.params
+    for size in dict.fromkeys(cell[3] for _, cell in tasks):  # train sizes in task order
+        members = [i for i, (_, cell) in enumerate(tasks) if cell[3] == size]
+        step_rows = len(members) * min(size, cfg.batch_size)
+        for stack in _split(members, -(-step_rows // mlp.block_rows(arch))):
+            # filled cell by cell, so that only one Dataset of the stack is alive at a time
+            x, targets, seeds = np.empty((len(stack), size, 2)), np.empty((len(stack), size)), []
+            for k, i in enumerate(stack):
+                run, (_, noise, _, _, cell_seed) = tasks[i]
+                clean = synthdata.sample_dataset(problems[run], size, derive_seed(cell_seed, "train"))
+                noisy = synthdata.flip_labels(clean, noise, derive_seed(cell_seed, "flip"))
+                x[k], targets[k] = noisy.x, noisy.z_observed
+                seeds.append(derive_seed(cell_seed, "init"))
+            for i, result in zip(stack, mlp.train_stack(x, targets, arch, tcfg, seeds)):
+                nets[i] = result.params
 
     rows = []
     priors = ClassPriors(0.5)

@@ -22,7 +22,8 @@ so a stack gives each network the bits it would get alone; ``train`` is
 the stack of one.  A stack keeps its shape for the whole call, so its views
 and buffers are made once per call.  Each epoch, every network draws its
 own shuffle, and one gather from the stacked inputs serves the stack.
-MlpParams and Gradients keep one array per layer.
+MlpParams and Gradients keep one array per layer.  ``_blocks`` is the model
+file's layout, which save_model writes and load_model parses block by block.
 
 An SGD step (``_backprop``, then the momentum update) allocates almost
 nothing: each operation writes with ``out=`` into step buffers made once per
@@ -49,8 +50,9 @@ the same rule.
 """
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+import numbers
+from dataclasses import dataclass, fields
+from typing import NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -76,6 +78,37 @@ class ModelFormatError(ValueError):
     """A saved-model file failed to parse; the message carries the line number."""
 
 
+def _checked_number(name: str, kind: type, value):
+    """value cast to kind (int or float); booleans and non-integral or non-finite values raise."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):  # numpy numbers too
+        try:
+            cast = kind(value)  # int(inf) and float(10**400) overflow, int(nan) fails
+        except (OverflowError, ValueError):
+            pass
+        else:
+            if (cast == value) if kind is int else math.isfinite(cast):
+                return cast
+    expected = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"bad value for {name!r}: expected {expected}, got {value!r}")
+
+
+def cast_fields(config) -> None:
+    """Cast each field of a frozen dataclass to its declared type, with _checked_number.
+
+    A ``tuple[kind, ...]`` field takes a list or tuple, and a ``kind | None`` field None too.
+    """
+    for field in fields(config):
+        value = getattr(config, field.name)
+        args = get_args(field.type)
+        if get_origin(field.type) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"bad value for {field.name!r}: expected a list of numbers, got {value!r}")
+            value = tuple(_checked_number(field.name, args[0], v) for v in value)
+        elif value is not None or type(None) not in args:
+            value = _checked_number(field.name, args[0] if args else field.type, value)
+        object.__setattr__(config, field.name, value)
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Layer plan: input width, tanh hidden layer widths; output is 1 score."""
@@ -84,12 +117,11 @@ class Architecture:
     hidden_sizes: tuple[int, ...] = (15, 15)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        object.__setattr__(self, "input_dim", int(self.input_dim))
+        cast_fields(self)
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
+            raise ValueError(f"hidden_sizes must be >= 1, got {self.hidden_sizes}")
 
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_sizes, 1)
@@ -144,17 +176,18 @@ class TrainConfig:
     # the useful signal is a ~1e-2 wobble of the predicted probability
 
     def __post_init__(self):
+        cast_fields(self)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.early_stop_tol is not None and not self.early_stop_tol >= 0.0:
+        if self.weight_decay < 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.early_stop_tol is not None and self.early_stop_tol < 0.0:
             raise ValueError(f"early_stop_tol must be >= 0, got {self.early_stop_tol}")
         if not 0 <= self.average_tail <= self.epochs:
             raise ValueError(f"average_tail must lie in [0, epochs], got {self.average_tail}")
@@ -514,16 +547,21 @@ def classify(params: MlpParams, x, threshold: float = 0.5):
     return (s >= cut).astype(np.int64)
 
 
+def _blocks(sizes: tuple[int, ...]):
+    """The model file's parameter blocks in file order: (tag line, rows, values per row)."""
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        yield f"W{i} {fan_in} {fan_out}", fan_in, fan_out
+        yield f"b{i} {fan_out}", 1, fan_out
+
+
 def save_model(params: MlpParams, path) -> None:
     """Text dump of architecture + parameters; floats use repr (exact round trip)."""
-    lines = [_MODEL_MAGIC, "activation tanh",
-             "sizes " + " ".join(str(s) for s in params.arch.layer_sizes())]
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        lines.append(f"W{i} {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        lines.append(f"b{i} {b.shape[0]}")
-        lines.append(" ".join(repr(float(v)) for v in b))
+    sizes = params.arch.layer_sizes()
+    lines = [_MODEL_MAGIC, "activation tanh", "sizes " + " ".join(str(s) for s in sizes)]
+    arrays = [a for layer in zip(params.weights, params.biases) for a in layer]
+    for (tag, rows, width), a in zip(_blocks(sizes), arrays):
+        lines.append(tag)
+        lines += [" ".join(repr(float(v)) for v in row) for row in a.reshape(rows, width)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -546,16 +584,19 @@ def load_model(path) -> MlpParams:
     def fail(lineno: int, why: str):
         raise ModelFormatError(f"line {lineno}: {why}")
 
-    def floats(lineno: int, text: str, want: int) -> np.ndarray:
-        parts = text.split()
+    def floats(at: int, want: int, tag: str) -> np.ndarray:
+        """The values on line index `at`, a row of the block under `tag`."""
+        if at >= len(lines):
+            fail(at + 1, f"unexpected end of file inside the '{tag}' block")
+        parts = lines[at].split()
         if len(parts) != want:
-            fail(lineno, f"expected {want} values, got {len(parts)}")
+            fail(at + 1, f"expected {want} values, got {len(parts)}")
         try:
             values = np.array([float(p) for p in parts])
         except ValueError as exc:
-            fail(lineno, str(exc))
+            fail(at + 1, str(exc))
         if not np.isfinite(values).all():
-            fail(lineno, "parameters must be finite")
+            fail(at + 1, "parameters must be finite")
         return values
 
     if not lines or lines[0] != _MODEL_MAGIC:
@@ -572,27 +613,13 @@ def load_model(path) -> MlpParams:
         fail(3, f"layer sizes must be >= 1 and end with 1, got {sizes}")
     arch = Architecture(sizes[0], sizes[1:-1])
 
-    weights = []
-    biases = []
+    arrays = []
     at = 3
-    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        if at >= len(lines) or lines[at].split() != [f"W{i}", str(fan_in), str(fan_out)]:
-            fail(at + 1, f"expected 'W{i} {fan_in} {fan_out}'")
-        at += 1
-        rows = []
-        for _ in range(fan_in):
-            if at >= len(lines):
-                fail(at + 1, "unexpected end of file inside a weight block")
-            rows.append(floats(at + 1, lines[at], fan_out))
-            at += 1
-        weights.append(np.vstack(rows))
-        if at >= len(lines) or lines[at].split() != [f"b{i}", str(fan_out)]:
-            fail(at + 1, f"expected 'b{i} {fan_out}'")
-        at += 1
-        if at >= len(lines):
-            fail(at + 1, "unexpected end of file inside a bias block")
-        biases.append(floats(at + 1, lines[at], fan_out))
-        at += 1
+    for tag, rows, width in _blocks(sizes):
+        if at >= len(lines) or lines[at].split() != tag.split():
+            fail(at + 1, f"expected '{tag}'")
+        arrays.append(np.vstack([floats(k, width, tag) for k in range(at + 1, at + 1 + rows)]))
+        at += 1 + rows
     if any(line.strip() for line in lines[at:]):
         fail(at + 1, "trailing content after the last parameter block")
-    return MlpParams(arch, tuple(weights), tuple(biases))
+    return MlpParams(arch, tuple(arrays[0::2]), tuple(b[0] for b in arrays[1::2]))

@@ -189,6 +189,11 @@ def test_eval_requires_exactly_one_threshold_source(capsys, tmp_path):
                            "--threshold", "0.5", "--gamma1", "0.2", "--gamma0", "0.2")
     assert code == 2
     assert "not both" in err
+    for prior in (["--eval-p1", "0.2"], ["--p1", "0.3"]):  # a prior correction needs the gammas
+        code, out, err = run_cli(capsys, "eval", "--model", str(model), "--data", str(data),
+                                 "--threshold", "0.4", *prior)
+        assert (code, out) == (2, "")
+        assert "not both" in err
 
 
 def test_runtime_file_problems_exit_one(capsys, tmp_path):
@@ -218,6 +223,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "fig3", "--outdir", str(tmp_path), "--jobs", "0")[0] == 2
     assert run_cli(capsys, "train", "--data", str(tmp_path / "absent.csv"), "--out",
                    str(tmp_path / "m.txt"), "--weight-decay", "nan")[0] == 2
+    assert run_cli(capsys, "eval", "--model", str(tmp_path / "absent.txt"), "--data",
+                   str(tmp_path / "absent.csv"), "--threshold", "1.5")[0] == 2
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
 

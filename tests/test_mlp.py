@@ -459,6 +459,10 @@ def test_train_stack_checks_its_inputs():
         train_stack(x, t[:, :3], Architecture(), TrainConfig(), [1, 2])
     with pytest.raises(ValueError):
         train_stack(np.zeros((0, 4, 2)), np.zeros((0, 4)), Architecture(), TrainConfig(), [])
+    for bad in (np.nan, np.inf):
+        x[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            train_stack(x, t, Architecture(), TrainConfig(), [1, 2])
 
 
 def test_train_stack_rejects_early_stop_for_several_networks():
@@ -527,17 +531,34 @@ def test_train_validates_features_and_targets():
     dict(learning_rate=math.inf),
     dict(weight_decay=math.nan),
     dict(weight_decay=math.inf),
+    dict(epochs=2.5),
+    dict(batch_size=2.5),
+    dict(epochs=True),
+    dict(learning_rate=True),
+    dict(average_tail=0.5),
+    dict(init_seed=2.5),
+    dict(momentum=False),
+    dict(early_stop_tol=math.nan),
 ])
 def test_train_config_rejects_bad_settings(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=list(kwargs)[-1]):  # the message names the field
         TrainConfig(**kwargs)
 
 
 def test_architecture_rejects_degenerate_layers():
-    with pytest.raises(ValueError):
-        Architecture(input_dim=0)
-    with pytest.raises(ValueError):
-        Architecture(hidden_sizes=(15, 0))
+    for kwargs in (dict(input_dim=0), dict(hidden_sizes=(15, 0)), dict(hidden_sizes=(2.7,)),
+                   dict(hidden_sizes=("3",)), dict(hidden_sizes=(True,)), dict(hidden_sizes=3),
+                   dict(input_dim=2.9), dict(input_dim=True)):
+        with pytest.raises(ValueError, match=list(kwargs)[-1]):
+            Architecture(**kwargs)
+
+
+def test_configs_take_numpy_integers_as_ints():
+    cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8), init_seed=np.uint64(5), average_tail=np.int8(1))
+    assert (cfg.epochs, cfg.batch_size, cfg.init_seed, cfg.average_tail) == (3, 8, 5, 1)
+    assert type(cfg.init_seed) is int  # the seed is hashed as an int, as the CLI passes it
+    arch = Architecture(np.int64(2), np.array([4, 3]).tolist() + [np.int16(2)])
+    assert arch == Architecture(2, (4, 3, 2))
 
 
 def test_params_shape_and_finiteness_are_checked():
@@ -550,6 +571,8 @@ def test_params_shape_and_finiteness_are_checked():
     bad_bias = (good.biases[0], np.array([np.inf]))
     with pytest.raises(ValueError):
         MlpParams(arch, good.weights, bad_bias)
+    with pytest.raises(ValueError, match="bias shape"):
+        MlpParams(arch, good.weights, (np.zeros(4), good.biases[1]))
 
 
 def test_init_params_is_seeded_and_bounded():
@@ -679,6 +702,8 @@ def test_saved_model_is_plain_text_with_header(tmp_path):
                  id="nan-bias"),
     pytest.param(lambda lines: lines[:4] + [lines[4].replace(" ", "\x0c"), "0.1 0.2"] + lines[6:],
                  "line 6", id="form-feed-separated-row"),
+    pytest.param(lambda lines: lines[:5], "line 6: unexpected end of file", id="cut-in-a-weight-block"),
+    pytest.param(lambda lines: lines[:7], "line 8: unexpected end of file", id="cut-in-a-bias-block"),
 ])
 def test_load_model_reports_malformed_files_with_line_numbers(tmp_path, mangle, where):
     params = init_params(Architecture(hidden_sizes=(3,)), 71)

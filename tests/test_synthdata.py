@@ -147,6 +147,22 @@ def test_model_validation():
         GmmClassModel(np.array([1.0]), np.zeros((1, 2)), np.array([[[1.0, 2.0], [2.0, 1.0]]]))
     with pytest.raises(ValueError):  # asymmetric
         GmmClassModel(np.array([1.0]), np.zeros((1, 2)), np.array([[[1.0, 0.2], [0.0, 1.0]]]))
+    with pytest.raises(ValueError, match="weights must be a non-empty vector"):
+        GmmClassModel(np.array([[1.0]]), np.zeros((1, 2)), eye)
+    with pytest.raises(ValueError, match="means must have shape"):
+        GmmClassModel(np.array([1.0]), np.zeros((1, 3)), eye)
+    with pytest.raises(ValueError, match="covariances must have shape"):
+        GmmClassModel(np.array([1.0]), np.zeros((1, 2)), np.eye(2))
+    with pytest.raises(ValueError, match="must be finite"):
+        GmmClassModel(np.array([1.0]), np.array([[0.0, np.nan]]), eye)
+
+
+def test_log_density_checks_its_points():
+    model = unit_gaussian([0.0, 0.0])
+    with pytest.raises(ValueError, match="trailing dimension 2"):
+        gmm_log_density(model, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="points must be finite"):
+        gmm_log_density(model, np.array([[0.0, 1.0], [np.inf, 0.0]]))
 
 
 # ----------------------------------------------------------------- posterior
@@ -605,3 +621,6 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 3)), np.array([0, 1, 0]), np.array([0, 1, 0]))
     with pytest.raises(ValueError):
         Dataset(np.full((2, 2), np.nan), np.array([0, 1]), np.array([0, 1]))
+    for y, z in ((np.array([0, 1]), np.array([0, 1, 0])), (np.array([0, 1, 0]), np.array([[0, 1, 0]]))):
+        with pytest.raises(ValueError, match="label columns must match"):
+            Dataset(np.zeros((3, 2)), y, z)
