@@ -1,6 +1,6 @@
 """Binary classification with randomly flipped training labels.
 
-The package splits into seven parts:
+The package splits into eight parts:
 
 * ``calculus``    — closed-form clean/noisy posterior relations, corrected
                     decision thresholds, the logistic function,
@@ -15,6 +15,7 @@ The package splits into seven parts:
 * ``svgchart``    — dependency-free SVG line charts for the grids
 * ``cli``         — batch command-line front end
 * ``seeding``     — hashed seed derivation, one random stream per purpose
+* ``atomic``      — output files that appear whole or not at all
 """
 
 __version__ = "0.1.0"

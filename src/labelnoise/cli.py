@@ -26,6 +26,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, experiments, mlp, svgchart, synthdata
+from .atomic import atomic_open
 from .calculus import (
     ClassPriors,
     NoiseParams,
@@ -62,7 +63,7 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: list[str],
         "started_utc": started,
         "finished_utc": _utc_now(),
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -16,23 +16,23 @@ corrected and the naive threshold, so all cells of a run are paired and
 their differences are common-random-number comparisons; training data,
 flips and initialization are per-cell.  A cell is a pure function of (config, run, coordinates).
 
-``run_grid`` lists the (run, cell) tasks run after run and cuts the list
-into one contiguous chunk per worker process (a single chunk, run inline,
-at --jobs 1).  A chunk samples and flips its cells' training sets, trains
-its cells that share a train_size in lockstep stacks (``mlp.train_stack``,
-which gives each network the bits it would get alone), then scores its
-cells run by run, drawing each run's world once.
-Rows are sorted before they are returned, so the output is byte-identical
-for any --jobs value.
+``run_grid`` draws each run's problem once and hands the worker processes
+lockstep stacks of cells that share a train_size (``mlp.train_stack``, which
+gives each network the bits it would get alone), longest first.  It then
+scores the cells in one contiguous run-major chunk per worker, which draws
+each run's test set and ceiling once; --jobs 1 runs both phases inline.  Rows
+are sorted before they are returned, so the output is byte-identical for any --jobs value.
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import groupby, repeat
 
 import numpy as np
 
 from . import mlp, synthdata
+from .atomic import atomic_open
 from .calculus import ClassPriors, NoiseParams, propagate_priors, threshold_from_priors
 from .seeding import derive_seed
 
@@ -159,57 +159,54 @@ RESULTS_FIELDS = tuple(f.name for f in fields(ResultRow))
 SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow))
 
 
-def _accuracy(pred: np.ndarray, y_clean: np.ndarray) -> float:
-    return float((pred == y_clean).mean())
-
-
 def _split(items: list, parts: int) -> list[list]:
     """items cut into `parts` contiguous, near-equal slices, in order."""
     return [items[i * len(items) // parts:(i + 1) * len(items) // parts] for i in range(parts)]
 
 
-def _run_chunk(cfg: GridConfig, tasks: list[tuple]) -> list[ResultRow]:
-    """Rows of a run-major slice of the grid's (run, cell) tasks.
+def _plan_stacks(cfg: GridConfig, tasks: list[tuple], jobs: int) -> list[list[int]]:
+    """Lockstep stacks of task indices, the most SGD steps per epoch first.
 
-    Each train size's cells, in task order, are split into lockstep stacks
-    of at most ``mlp.block_rows`` rows per step (bigger stacks gain little per
-    network, and their per-step temporaries would cost fresh pages) and
-    trained stack by stack.  Then the cells are scored run by run, so the
-    chunk draws each run's problem, test set and ceiling once.
+    Each train size's cells, in task order, are cut into near-equal stacks of at most ``mlp.block_rows``
+    rows per step (bigger stacks gain little); a count above one is rounded up to a multiple of jobs,
+    but never past one cell per stack.
     """
-    problems = {run: synthdata.make_random_problem(derive_seed(cfg.base_seed, "problem", run),
-                                                   cfg.separation_scale, ClassPriors(0.5).p1)
-                for run in {run for run, _ in tasks}}
-    arch = mlp.Architecture()
-    tcfg = mlp.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                           learning_rate=cfg.learning_rate, momentum=cfg.momentum)
-    nets = [None] * len(tasks)
+    stacks = []
     for size in dict.fromkeys(cell[3] for _, cell in tasks):  # train sizes in task order
         members = [i for i, (_, cell) in enumerate(tasks) if cell[3] == size]
-        step_rows = len(members) * min(size, cfg.batch_size)
-        for stack in _split(members, -(-step_rows // mlp.block_rows(arch))):
-            # filled cell by cell, so that only one Dataset of the stack is alive at a time
-            x, targets, seeds = np.empty((len(stack), size, 2)), np.empty((len(stack), size)), []
-            for k, i in enumerate(stack):
-                run, (_, noise, _, _, cell_seed) = tasks[i]
-                clean = synthdata.sample_dataset(problems[run], size, derive_seed(cell_seed, "train"))
-                noisy = synthdata.flip_labels(clean, noise, derive_seed(cell_seed, "flip"))
-                x[k], targets[k] = noisy.x, noisy.z_observed
-                seeds.append(derive_seed(cell_seed, "init"))
-            for i, result in zip(stack, mlp.train_stack(x, targets, arch, tcfg, seeds)):
-                nets[i] = result.params
+        parts = -(-len(members) * min(size, cfg.batch_size) // mlp.block_rows(mlp.Architecture()))
+        stacks += _split(members, min(len(members), -(-parts // jobs) * jobs if parts > 1 else 1))
+    return sorted(stacks, key=lambda stack: -(-tasks[stack[0]][1][3] // cfg.batch_size), reverse=True)
 
+
+def _train_stack(cfg: GridConfig, problems: dict, stack: list[tuple]) -> list[mlp.MlpParams]:
+    """Trained parameters of one stack of (run, cell) tasks that share a train size."""
+    size = stack[0][1][3]
+    # filled cell by cell, so that only one Dataset of the stack is alive at a time
+    x, targets, seeds = np.empty((len(stack), size, 2)), np.empty((len(stack), size)), []
+    for k, (run, (_, noise, _, _, cell_seed)) in enumerate(stack):
+        clean = synthdata.sample_dataset(problems[run], size, derive_seed(cell_seed, "train"))
+        noisy = synthdata.flip_labels(clean, noise, derive_seed(cell_seed, "flip"))
+        x[k], targets[k] = noisy.x, noisy.z_observed
+        seeds.append(derive_seed(cell_seed, "init"))
+    tcfg = mlp.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
+                           learning_rate=cfg.learning_rate, momentum=cfg.momentum)
+    return [result.params for result in mlp.train_stack(x, targets, mlp.Architecture(), tcfg, seeds)]
+
+
+def _score_chunk(cfg: GridConfig, problems: dict, chunk: list[tuple]) -> list[ResultRow]:
+    """Rows of a run-major slice of ((run, cell), params) pairs; draws each run's test set once."""
     rows = []
     priors = ClassPriors(0.5)
-    for run, cells in groupby(zip(tasks, nets), key=lambda pair: pair[0][0]):
+    for run, cells in groupby(chunk, key=lambda pair: pair[0][0]):
         test = synthdata.sample_dataset(problems[run], cfg.test_size,
                                         derive_seed(cfg.base_seed, "test", run))
         ceiling = synthdata.bayes_accuracy(problems[run], test)
         for (_, (experiment, noise, ratio, train_size, cell_seed)), net in cells:
             threshold = threshold_from_priors(priors, propagate_priors(priors, noise))
             s = mlp.score(net, test.x)  # one pass, decided at both thresholds as classify would
-            acc_corrected = _accuracy(s >= mlp.score_cut(threshold), test.y_clean)
-            acc_naive = _accuracy(s >= mlp.score_cut(0.5), test.y_clean)
+            acc_corrected, acc_naive = (float(((s >= mlp.score_cut(cut)) == test.y_clean).mean())
+                                        for cut in (threshold, 0.5))
             rows.append(ResultRow(experiment, noise.total, noise.gamma1, noise.gamma0, ratio,
                                   train_size, run, threshold, acc_corrected, acc_naive,
                                   ceiling, cell_seed))
@@ -217,19 +214,22 @@ def _run_chunk(cfg: GridConfig, tasks: list[tuple]) -> list[ResultRow]:
 
 
 def run_grid(cfg: GridConfig, jobs: int = 1) -> list[ResultRow]:
-    """Run every cell of cfg on jobs worker processes; rows come back sorted."""
+    """Run every cell of cfg on jobs worker processes (inline at 1); rows come back sorted."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(run, cell) for run in range(cfg.runs) for cell in cfg.cells(run)]
-    if jobs == 1:
-        rows = _run_chunk(cfg, tasks)
-    else:
-        # imported here: it pulls in multiprocessing, socket and subprocess
+    problems = {run: synthdata.make_random_problem(derive_seed(cfg.base_seed, "problem", run),
+                                                   cfg.separation_scale, ClassPriors(0.5).p1)
+                for run in range(cfg.runs)}
+    stacks = _plan_stacks(cfg, tasks, jobs)
+    if jobs > 1:  # imported here: it pulls in multiprocessing, socket and subprocess
         from concurrent.futures import ProcessPoolExecutor
-
-        chunks = _split(tasks, min(jobs, len(tasks)))  # one pool task each
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            rows = [row for chunk in pool.map(_run_chunk, repeat(cfg), chunks) for row in chunk]
+    with ProcessPoolExecutor(min(jobs, len(tasks))) if jobs > 1 else nullcontext() as pool:
+        pool_map = map if pool is None else pool.map
+        trained = pool_map(_train_stack, repeat(cfg), repeat(problems), [[tasks[i] for i in s] for s in stacks])
+        nets = {i: net for stack, params in zip(stacks, trained) for i, net in zip(stack, params)}
+        chunks = _split([(task, nets[i]) for i, task in enumerate(tasks)], min(jobs, len(tasks)))
+        rows = [row for chunk in pool_map(_score_chunk, repeat(cfg), repeat(problems), chunks) for row in chunk]
     rows.sort(key=lambda r: (r.n, r.ratio, r.train_size, r.run))
     return rows
 
@@ -285,7 +285,7 @@ def write_summary_csv(rows: list[SummaryRow], path) -> None:
 
 
 def _write_csv(path, fields: tuple[str, ...], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(fields) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(getattr(row, name)) for name in fields) + "\n")

@@ -56,6 +56,7 @@ from typing import NamedTuple, get_args, get_origin
 
 import numpy as np
 
+from .atomic import atomic_open
 from .calculus import logistic
 from .seeding import make_rng
 
@@ -562,7 +563,7 @@ def save_model(params: MlpParams, path) -> None:
     for (tag, rows, width), a in zip(_blocks(sizes), arrays):
         lines.append(tag)
         lines += [" ".join(repr(float(v)) for v in row) for row in a.reshape(rows, width)]
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

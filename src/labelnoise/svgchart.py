@@ -8,6 +8,8 @@ Output is deterministic for identical input.
 import math
 from dataclasses import dataclass
 
+from .atomic import atomic_open
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
@@ -139,5 +141,5 @@ def _escape(text: str) -> str:
 
 
 def write_line_chart(path, series: list[Series], **kwargs) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(render_line_chart(series, **kwargs))

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .calculus import ClassPriors, NoiseParams, logistic
 from .seeding import make_rng
 
@@ -294,7 +295,7 @@ def bayes_accuracy(problem: ProblemInstance, data: Dataset) -> float:
 
 def save_dataset_csv(data: Dataset, path) -> None:
     """Write x1,x2,y_clean,z_observed rows; floats keep 17 significant digits."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(CSV_FIELDS) + "\n")
         for start in range(0, len(data), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)

@@ -1,0 +1,141 @@
+import errno
+import os
+import stat
+import threading
+from pathlib import Path
+
+import pytest
+
+from labelnoise import atomic, cli, mlp, svgchart, synthdata
+from labelnoise.atomic import atomic_open
+from labelnoise.calculus import NoiseParams
+from labelnoise.experiments import ResultRow, summarize, write_results_csv, write_summary_csv
+
+ROW = ResultRow("efficiency", 0.4, 0.2, 0.2, 1.0, 60, 0, 0.5, 0.8, 0.8, 0.9, 7)
+
+
+class DiskFullAfter:
+    """A text file whose write fails with ENOSPC once `writes` writes have gone through."""
+
+    def __init__(self, fh, writes: int):
+        self.fh, self.writes = fh, writes
+
+    def write(self, text):
+        if self.writes == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes -= 1
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def disk_full_after(monkeypatch, writes: int) -> None:
+    """Make every file atomic_open opens fail after `writes` writes."""
+    monkeypatch.setattr(atomic, "open", lambda *a, **k: DiskFullAfter(open(*a, **k), writes),
+                        raising=False)
+
+
+def dataset(n: int, seed: int) -> synthdata.Dataset:
+    problem = synthdata.make_random_problem(seed, 2.5)
+    return synthdata.flip_labels(synthdata.sample_dataset(problem, n, seed), NoiseParams(0.2, 0.1), seed)
+
+
+def test_a_completed_write_lands_whole_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with atomic_open(path) as fh:
+        fh.write("new\n")
+        assert path.read_text() == "old\n"  # nothing is visible before the file is complete
+    assert path.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("old", [None, "old bytes\n"], ids=["absent", "existing"])
+def test_a_writer_that_raises_partway_leaves_the_target_as_it_was(tmp_path, old):
+    path = tmp_path / "out.txt"
+    if old is not None:
+        path.write_text(old)
+    with pytest.raises(RuntimeError, match="partway"):
+        with atomic_open(path) as fh:
+            fh.write("half a file\n")
+            fh.flush()
+            raise RuntimeError("partway")
+    assert (path.read_text() if path.exists() else None) == old
+    assert os.listdir(tmp_path) == ([] if old is None else ["out.txt"])
+
+
+def test_a_dataset_csv_cut_after_its_first_chunk_keeps_the_old_dataset(tmp_path, monkeypatch):
+    # a cut dataset CSV would load silently as a 1024-row dataset; the old file must stay instead
+    path = tmp_path / "data.csv"
+    old = dataset(3000, 1)
+    synthdata.save_dataset_csv(old, path)
+    old_bytes = path.read_bytes()
+    disk_full_after(monkeypatch, writes=2)  # the header and the first 1024-row chunk
+    with pytest.raises(OSError, match="No space left"):
+        synthdata.save_dataset_csv(dataset(3000, 2), path)
+    assert path.read_bytes() == old_bytes
+    assert len(synthdata.load_dataset_csv(path)) == 3000
+    assert os.listdir(tmp_path) == ["data.csv"]
+    with pytest.raises(OSError, match="No space left"):
+        synthdata.save_dataset_csv(old, tmp_path / "new.csv")
+    assert not (tmp_path / "new.csv").exists()
+
+
+def _manifest(path):
+    cli._write_manifest(Path(path), "gen", {}, [], "2000-01-01T00:00:00+00:00")
+
+
+def _chart(path):
+    series = [svgchart.Series("a", (1.0, 2.0), (0.5, 0.75))]
+    svgchart.write_line_chart(path, series, title="t", x_label="x", y_label="y")
+
+
+WRITERS = {
+    "dataset": lambda path: synthdata.save_dataset_csv(dataset(10, 3), path),
+    "model": lambda path: mlp.save_model(mlp.init_params(mlp.Architecture(), 0), path),
+    "results": lambda path: write_results_csv([ROW], path),
+    "summary": lambda path: write_summary_csv(summarize([ROW]), path),
+    "chart": _chart,
+    "manifest": _manifest,
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_every_output_writer_keeps_the_old_file_when_a_write_fails(tmp_path, monkeypatch, name):
+    path = tmp_path / "out"
+    WRITERS[name](path)  # the writer works
+    assert path.stat().st_size > 0
+    path.write_text("old\n")
+    disk_full_after(monkeypatch, writes=0)
+    with pytest.raises(OSError, match="No space left"):
+        WRITERS[name](path)
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "out"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    with atomic_open(fifo) as fh:
+        fh.write("through the pipe\n")
+    reader.join(30)
+    assert got == ["through the pipe\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_an_unwritable_target_is_named_in_the_error(tmp_path):
+    path = tmp_path / "no-such-dir" / "out.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        with atomic_open(path):
+            pass
+    assert info.value.filename == str(path)
+    assert str(path) in str(info.value)
+    assert not path.parent.exists()
+

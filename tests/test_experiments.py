@@ -10,6 +10,7 @@ from labelnoise.experiments import (
     EfficiencyGridConfig,
     FlipRatioGridConfig,
     ResultRow,
+    _plan_stacks,
     run_efficiency_grid,
     run_flip_ratio_grid,
     run_grid,
@@ -141,6 +142,61 @@ def test_grid_results_do_not_depend_on_worker_count():
     assert run_flip_ratio_grid(cfg, jobs=1) == run_flip_ratio_grid(cfg, jobs=2)
     cfg = tiny_flip_ratio(runs=1)  # more workers than the one run has cells to share
     assert run_flip_ratio_grid(cfg, jobs=1) == run_flip_ratio_grid(cfg, jobs=4)
+    cfg = tiny_flip_ratio(train_size=400, batch_size=400)  # two stacks at --jobs 1, three at 3
+    assert len(stack_plan(cfg, jobs=3)) == 3
+    assert run_flip_ratio_grid(cfg, jobs=1) == run_flip_ratio_grid(cfg, jobs=3)
+    cfg = tiny_efficiency(training_sizes=(20, 300, 90), runs=3)  # the longest stack goes out first
+    assert sizes_of(cfg, stack_plan(cfg, jobs=2)) == [{300}, {90}, {20}]
+    assert run_efficiency_grid(cfg, jobs=1) == run_efficiency_grid(cfg, jobs=2)
+
+
+# ------------------------------------------------------------------ stack plan
+
+def stack_plan(cfg, jobs):
+    return _plan_stacks(cfg, grid_tasks(cfg), jobs)
+
+
+def grid_tasks(cfg):
+    return [(run, cell) for run in range(cfg.runs) for cell in cfg.cells(run)]
+
+
+def sizes_of(cfg, plan):
+    tasks = grid_tasks(cfg)
+    return [{tasks[i][1][3] for i in stack} for stack in plan]
+
+
+def test_small_fig2_at_two_jobs_plans_one_whole_stack_per_size_longest_first():
+    cfg = EfficiencyGridConfig(training_sizes=(100, 200, 400), runs=3)
+    plan = stack_plan(cfg, jobs=2)
+    assert [len(stack) for stack in plan] == [12, 12, 12]
+    assert sizes_of(cfg, plan) == [{400}, {200}, {100}]
+
+
+def test_default_fig3_at_two_jobs_plans_six_stacks():
+    # 160 cells x 32 rows need five stacks of 1024 rows; six share evenly between two workers
+    plan = stack_plan(FlipRatioGridConfig(), jobs=2)
+    assert [len(stack) for stack in plan] == [26, 27, 27, 26, 27, 27]
+    assert sorted(i for stack in plan for i in stack) == list(range(160))
+
+
+def test_one_job_plans_block_sized_stacks_in_task_order():
+    plan = stack_plan(FlipRatioGridConfig(), jobs=1)
+    assert plan == [list(range(k, k + 32)) for k in range(0, 160, 32)]
+    cfg = EfficiencyGridConfig()  # 40 cells per size, 40 x 32 rows: two stacks per size
+    tasks = grid_tasks(cfg)
+    want = []
+    for size in (20000, 2000, 200):
+        members = [i for i, (_, cell) in enumerate(tasks) if cell[3] == size]
+        want += [members[:20], members[20:]]
+    assert stack_plan(cfg, jobs=1) == want
+
+
+def test_stacks_never_outnumber_their_cells():
+    # one cell already fills more than a block: one network per stack, none empty
+    cfg = FlipRatioGridConfig(runs=1, train_size=2000, batch_size=2000, epochs=1, test_size=100)
+    assert stack_plan(cfg, jobs=1) == [[i] for i in range(8)]
+    assert stack_plan(cfg, jobs=3) == [[i] for i in range(8)]
+    assert len(run_grid(cfg, jobs=1)) == 8
 
 
 def test_rerunning_a_grid_writes_identical_csv_bytes(tmp_path):
