@@ -1,12 +1,14 @@
 """Output files that appear whole or not at all.
 
-``atomic_open(path)`` is the one way the package writes a dataset CSV, a
-model, a results or summary CSV, an SVG chart or a manifest.  The text goes
-to a temporary file next to ``path``, named with the process id, and
-``os.replace`` moves it into place only once it is complete; a write that
-fails or is interrupted leaves ``path`` absent or with its old bytes.  A
-target that exists and is not a regular file (a FIFO, ``/dev/stdout``) is
-written in place, since it cannot be replaced.
+``atomic_open(path)`` is the one way the package writes a dataset CSV and
+its binary sidecar, a model, a results or summary CSV, an SVG chart or a
+manifest.  The bytes go to a temporary file next to the file ``path`` names,
+named with the process id, and ``os.replace`` moves it into place only once
+it is complete; a write that fails or is interrupted leaves ``path`` absent
+or with its old bytes.  A symlinked ``path`` is followed, so the file it
+points to is replaced and the link stays, and a replaced file keeps its
+permission bits.  A target that exists and is not a regular file (a FIFO,
+``/dev/stdout``) is written in place, since it cannot be replaced.
 """
 
 import os
@@ -15,27 +17,31 @@ from contextlib import contextmanager
 
 
 @contextmanager
-def atomic_open(path):
-    """Text file handle (newline="") whose contents land at path on a clean exit."""
+def atomic_open(path, binary: bool = False):
+    """File handle whose contents land at path on a clean exit: text (newline="") or binary."""
     path = os.fspath(path)
+    mode, newline = ("wb", None) if binary else ("w", "")
     try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        st_mode = os.stat(path).st_mode
     except FileNotFoundError:
-        in_place = False
-    if in_place:
-        with open(path, "w", newline="") as fh:
+        st_mode = None
+    if st_mode is not None and not stat.S_ISREG(st_mode):
+        with open(path, mode, newline=newline) as fh:
             yield fh
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp, "w", newline="")
+        fh = open(tmp, mode, newline=newline)
     except OSError as exc:
         exc.filename = path  # report the file the caller asked for
         raise
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        if st_mode is not None:
+            os.chmod(tmp, stat.S_IMODE(st_mode))
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -108,9 +108,10 @@ def cmd_gen(args) -> int:
     clean = synthdata.sample_dataset(problem, args.n, derive_seed(args.seed, "gen-sample"))
     data = synthdata.flip_labels(clean, noise, derive_seed(args.seed, "gen-flip"))
     out = Path(args.out)
-    synthdata.save_dataset_csv(data, out)
+    sidecar = synthdata.save_dataset_csv(data, out)
     manifest = out.with_name(out.name + ".manifest.json")
-    _write_manifest(manifest, "gen", _flag_values(args), [str(out)], started)
+    outputs = [str(out)] if sidecar is None else [str(out), sidecar]
+    _write_manifest(manifest, "gen", _flag_values(args), outputs, started)
     print(f"wrote {len(data)} samples to {out}")
     print(f"clean class-1 fraction    {float((data.y_clean == 1).mean())!r}")
     print(f"observed class-1 fraction {float((data.z_observed == 1).mean())!r}")

@@ -22,9 +22,18 @@ rows per write.  The loader parses a regular file whole with numpy and falls
 back to a line-by-line parser, the only one that reports errors, each with
 its line number.  Both accept the same files: labels must be the integers
 0 and 1, and a `#` line is a data error, not a comment.
+
+The CSV is the format; its sidecar `<csv>.npz` is a cache keyed by the
+CSV's content.  The writer hashes the bytes it writes and, for a regular
+file, then stores the sha256 and the three arrays in the sidecar.  The
+loader uses the sidecar only when the CSV's bytes still hash to that digest
+and the arrays have the CSV's row count and the writer's dtypes; any other
+sidecar, or none, means the CSV is parsed.  Editing the CSV therefore
+bypasses the sidecar, and deleting it is always safe.
 """
 
 import csv
+import hashlib
 import io
 import math
 import os
@@ -293,25 +302,52 @@ def bayes_accuracy(problem: ProblemInstance, data: Dataset) -> float:
     return float((pred == (data.y_clean == 1)).mean())
 
 
-def save_dataset_csv(data: Dataset, path) -> None:
-    """Write x1,x2,y_clean,z_observed rows; floats keep 17 significant digits."""
-    with atomic_open(path) as fh:
-        fh.write(",".join(CSV_FIELDS) + "\n")
-        for start in range(0, len(data), _CSV_CHUNK_ROWS):
-            rows = slice(start, start + _CSV_CHUNK_ROWS)
-            columns = (data.x[rows, 0], data.x[rows, 1], data.y_clean[rows], data.z_observed[rows])
-            values = [None] * (len(CSV_FIELDS) * len(columns[0]))
-            for j, column in enumerate(columns):
-                values[j::len(CSV_FIELDS)] = column.tolist()
-            fh.write(_CSV_ROW * len(columns[0]) % tuple(values))
+def save_dataset_csv(data: Dataset, path) -> str | None:
+    """Write x1,x2,y_clean,z_observed rows; floats keep 17 significant digits.
+
+    A regular file also gets its sidecar, written after the CSV is complete;
+    returns the sidecar's path, or None for a FIFO or a device.
+    """
+    digest = hashlib.sha256()
+    with atomic_open(path, binary=True) as fh:
+        for text in _csv_chunks(data):
+            chunk = text.encode("ascii")
+            digest.update(chunk)
+            fh.write(chunk)
+    if not os.path.isfile(path):
+        return None
+    sidecar = _sidecar_path(path)
+    with atomic_open(sidecar, binary=True) as fh:
+        np.savez(fh, sha256=np.frombuffer(digest.digest(), np.uint8), x=data.x,
+                 y_clean=data.y_clean, z_observed=data.z_observed)
+    return sidecar
+
+
+def _csv_chunks(data: Dataset):
+    """The CSV text: the header, then one string per _CSV_CHUNK_ROWS rows."""
+    yield ",".join(CSV_FIELDS) + "\n"
+    for start in range(0, len(data), _CSV_CHUNK_ROWS):
+        rows = slice(start, start + _CSV_CHUNK_ROWS)
+        columns = (data.x[rows, 0], data.x[rows, 1], data.y_clean[rows], data.z_observed[rows])
+        values = [None] * (len(CSV_FIELDS) * len(columns[0]))
+        for j, column in enumerate(columns):
+            values[j::len(CSV_FIELDS)] = column.tolist()
+        yield _CSV_ROW * len(columns[0]) % tuple(values)
+
+
+def _sidecar_path(path) -> str:
+    """`<csv>.npz` next to the file that holds the CSV's bytes, also through a symlink."""
+    return os.path.realpath(path) + ".npz"
 
 
 def load_dataset_csv(path) -> Dataset:
     """Inverse of save_dataset_csv; bad input raises DatasetFormatError with a line number.
 
-    A regular file is first parsed whole by numpy.  A file that parse cannot
-    vouch for, and a pipe or device, which can be read only once, go through
-    the line-by-line parser, the one source of error messages.
+    A regular file whose sidecar holds the sha256 of its exact bytes loads
+    from the sidecar; any other regular file is first parsed whole by numpy.
+    A file that parse cannot vouch for, and a pipe or device, which can be
+    read only once, go through the line-by-line parser, the one source of
+    error messages.
     """
     if os.path.isfile(path):
         data = _load_dataset_csv_fast(path)
@@ -329,17 +365,29 @@ def load_dataset_csv(path) -> Dataset:
 
 
 def _load_dataset_csv_fast(path) -> Dataset | None:
-    """Whole-file numeric parse; None where only _parse_dataset_csv can judge the file.
+    """Sidecar or whole-file numeric parse; None where only _parse_dataset_csv can judge the file.
 
-    It returns a Dataset only for a file that _parse_dataset_csv accepts, with
-    equal arrays: numpy rejects quoted fields, `1_0` and non-ASCII digits,
-    which float() and int() accept, and the Dataset checks reject what both
-    parse but the line parser refuses (non-finite features, labels not 0/1).
+    The file is hashed, in the block scan for the bytes numpy strips, only
+    when a sidecar exists.  The parse returns a Dataset only for a file that
+    _parse_dataset_csv accepts, with equal arrays: numpy rejects quoted
+    fields, `1_0` and non-ASCII digits, which float() and int() accept, and
+    the Dataset checks reject what both parse but the line parser refuses
+    (non-finite features, labels not 0/1).
     """
+    sidecar = _sidecar_path(path)
+    digest = hashlib.sha256() if os.path.isfile(sidecar) else None  # no sidecar, no hashing
+    newlines = 0
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             if any(space in block for space in _NUMPY_ONLY_SPACES):
                 return None
+            if digest is not None:
+                digest.update(block)
+                newlines += block.count(b"\n")
+    if digest is not None:
+        data = _load_sidecar(sidecar, digest.digest(), rows=newlines - 1)
+        if data is not None:
+            return data
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n") != ",".join(CSV_FIELDS):
@@ -358,6 +406,30 @@ def _load_dataset_csv_fast(path) -> Dataset | None:
                        np.ascontiguousarray(table["z_observed"]))
     except (ValueError, DeprecationWarning):
         # not UTF-8, a field numpy cannot parse, or a value Dataset rejects
+        return None
+
+
+def _load_sidecar(sidecar: str, sha256: bytes, rows: int) -> Dataset | None:
+    """The arrays save_dataset_csv stored for a CSV with this digest and row count, or None.
+
+    None for a sidecar of other bytes, and for any sidecar that cannot be read
+    back exactly as written: the CSV is then parsed as if it had none.
+    """
+    try:
+        # opened here: np.load leaks the handle of a file that is not a zip
+        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if npz["sha256"].tobytes() != sha256:
+                return None
+            x, y, z = npz["x"], npz["y_clean"], npz["z_observed"]
+            if not (rows >= 1 and x.shape == (rows, 2) and x.dtype == np.float64
+                    and all(col.shape == (rows,) and col.dtype == np.int64 for col in (y, z))
+                    and all(col.flags.c_contiguous for col in (x, y, z))):
+                return None
+            return Dataset(x, y, z)
+    except Exception:
+        # the sidecar is only a cache, and a damaged one raises from an open set:
+        # OSError, BadZipFile, KeyError, EOFError, ValueError, tokenize.TokenError,
+        # NotImplementedError, MemoryError for a corrupt shape, ...
         return None
 
 

@@ -26,6 +26,9 @@ class DiskFullAfter:
         self.writes -= 1
         return self.fh.write(text)
 
+    def __getattr__(self, name):  # tell, seek, flush: the rest of a file, for zipfile
+        return getattr(self.fh, name)
+
     def __enter__(self):
         return self
 
@@ -79,10 +82,51 @@ def test_a_dataset_csv_cut_after_its_first_chunk_keeps_the_old_dataset(tmp_path,
         synthdata.save_dataset_csv(dataset(3000, 2), path)
     assert path.read_bytes() == old_bytes
     assert len(synthdata.load_dataset_csv(path)) == 3000
-    assert os.listdir(tmp_path) == ["data.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.npz"]
     with pytest.raises(OSError, match="No space left"):
         synthdata.save_dataset_csv(old, tmp_path / "new.csv")
     assert not (tmp_path / "new.csv").exists()
+
+
+def test_a_disk_full_sidecar_write_leaves_the_new_csv_loadable(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    synthdata.save_dataset_csv(dataset(50, 1), path)
+    new = dataset(3000, 2)
+
+    def sidecar_disk_full(name, *args, **kwargs):
+        fh = open(name, *args, **kwargs)
+        return DiskFullAfter(fh, writes=0) if ".npz." in os.fspath(name) else fh
+
+    monkeypatch.setattr(atomic, "open", sidecar_disk_full, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        synthdata.save_dataset_csv(new, path)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.npz"]  # the old, stale sidecar
+    loaded = synthdata.load_dataset_csv(path)
+    for name in ("x", "y_clean", "z_observed"):
+        assert getattr(loaded, name).tobytes() == getattr(new, name).tobytes()
+
+
+def test_a_symlinked_target_is_replaced_through_the_link(tmp_path):
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old\n")
+    link.symlink_to(real.name)
+    with atomic_open(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_text() == "new\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o755], ids=oct)
+def test_a_replaced_file_keeps_its_permission_bits(tmp_path, mode):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    path.chmod(mode)
+    with atomic_open(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def _manifest(path):
@@ -114,7 +158,7 @@ def test_every_output_writer_keeps_the_old_file_when_a_write_fails(tmp_path, mon
     with pytest.raises(OSError, match="No space left"):
         WRITERS[name](path)
     assert path.read_text() == "old\n"
-    assert os.listdir(tmp_path) == ["out"]
+    assert sorted(os.listdir(tmp_path)) == (["out", "out.npz"] if name == "dataset" else ["out"])
 
 
 def test_a_fifo_is_written_in_place(tmp_path):

@@ -4,6 +4,7 @@ import os
 import select
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -124,7 +125,43 @@ def test_gen_writes_a_loadable_csv_and_manifest(capsys, tmp_path):
     assert manifest["tool"] == "labelnoise"
     assert manifest["command"] == "gen"
     assert manifest["config"]["gamma1"] == 0.3
-    assert manifest["outputs"] == [str(out_path)]
+    assert manifest["outputs"] == [str(out_path), f"{os.path.realpath(out_path)}.npz"]
+
+
+def test_gen_into_a_fifo_writes_no_sidecar(capsys, tmp_path):
+    fifo = tmp_path / "data.csv"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, _, _ = run_cli(capsys, "gen", "--out", str(fifo), "--n", "50", "--seed", "9")
+    reader.join(30)
+    assert code == 0 and not reader.is_alive()
+    regular = tmp_path / "regular.csv"
+    assert main(["gen", "--out", str(regular), "--n", "50", "--seed", "9"]) == 0
+    assert got == [regular.read_bytes()]
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.manifest.json", "regular.csv",
+                                            "regular.csv.manifest.json", "regular.csv.npz"]
+    manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(fifo)]
+
+
+def test_train_and_eval_give_the_same_bytes_without_the_sidecar(capsys, tmp_path):
+    data = tmp_path / "d.csv"
+    assert main(["gen", "--out", str(data), "--n", "700", "--seed", "13",
+                 "--gamma1", "0.2", "--gamma0", "0.1"]) == 0
+
+    def train_and_eval(model):
+        assert main(["train", "--data", str(data), "--out", str(model), "--epochs", "3"]) == 0
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "eval", "--model", str(model), "--data", str(data),
+                               "--gamma1", "0.2", "--gamma0", "0.1")
+        assert code == 0
+        return model.read_bytes(), out
+
+    from_sidecar = train_and_eval(tmp_path / "with.txt")
+    os.remove(f"{os.path.realpath(data)}.npz")
+    assert train_and_eval(tmp_path / "without.txt") == from_sidecar
 
 
 def test_gen_and_train_manifests_record_exactly_the_parsed_flags(capsys, tmp_path):

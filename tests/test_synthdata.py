@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import math
 import os
 import re
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,7 +434,7 @@ def test_save_dataset_csv_matches_the_per_row_writer(tmp_path, n):
         b"9007199254740994"][:x.size]
 
 
-@pytest.mark.parametrize("content,line", [
+MALFORMED_CSVS = [
     ("", 1),
     ("wrong,header,a,b\n1,2,0,0\n", 1),
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0\n", 2),
@@ -448,7 +450,10 @@ def test_save_dataset_csv_matches_the_per_row_writer(tmp_path, n):
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n\x1c1.0,2.0,0,1\n", 3),  # numpy alone strips \x1c
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,0,-1\n", 3),
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1e400,2.0,0,1\n", 3),
-])
+]
+
+
+@pytest.mark.parametrize("content,line", MALFORMED_CSVS)
 def test_csv_load_reports_line_numbers(tmp_path, content, line):
     path = tmp_path / "bad.csv"
     path.write_text(content)
@@ -532,6 +537,126 @@ def test_csv_load_reads_a_fifo_once(tmp_path, content, expected):
         assert outcome["data"].x.tolist() == [[1.0, 2.0]]
     else:
         assert outcome["error"].startswith(expected)
+
+
+# ------------------------------------------------------------------- CSV sidecar
+
+def awkward_dataset(n):
+    """The data of test_save_dataset_csv_matches_the_per_row_writer: AWKWARD_FLOATS first."""
+    rng = make_rng(41, "csv-writer", n)
+    x = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
+    x.ravel()[:len(AWKWARD_FLOATS)] = AWKWARD_FLOATS[:x.size]
+    return Dataset(x, rng.integers(0, 2, n), rng.integers(0, 2, n))
+
+
+def save_with_sidecar(data, path):
+    sidecar = save_dataset_csv(data, path)
+    assert sidecar == f"{os.path.realpath(path)}.npz" and os.path.isfile(sidecar)
+    return sidecar
+
+
+@pytest.mark.parametrize("n", [1, CHUNK + 1])
+def test_csv_sidecar_loads_the_bytes_and_dtypes_of_the_csv_parse(tmp_path, monkeypatch, n):
+    path = tmp_path / "data.csv"
+    data = awkward_dataset(n)
+    save_with_sidecar(data, path)
+    with monkeypatch.context() as m:  # neither parser may run
+        m.setattr(synthdata.np, "loadtxt", None)
+        m.setattr(synthdata, "_parse_dataset_csv", None)
+        from_sidecar = load_dataset_csv(path)
+    assert_same_dataset(from_sidecar, parse_line_by_line(path))
+    assert_same_dataset(from_sidecar, data)
+    assert all(a.flags.c_contiguous for a in (from_sidecar.x, from_sidecar.y_clean,
+                                                from_sidecar.z_observed))
+
+
+def test_a_csv_saved_through_a_symlink_keeps_its_sidecar_next_to_the_real_file(tmp_path, monkeypatch):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    link.symlink_to(real.name)
+    data = awkward_dataset(CHUNK + 1)
+    save_with_sidecar(data, link)
+    assert link.is_symlink()
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv", "real.csv.npz"]
+    monkeypatch.setattr(synthdata.np, "loadtxt", None)  # the sidecar serves both names
+    monkeypatch.setattr(synthdata, "_parse_dataset_csv", None)
+    for name in (link, real):
+        assert_same_dataset(load_dataset_csv(name), data)
+
+
+def test_a_csv_edited_after_saving_loads_the_edited_values(tmp_path):
+    # the sidecar is keyed by content: same size and same mtime do not make it current
+    path = tmp_path / "data.csv"
+    data = flip_labels(sample_dataset(make_random_problem(4, 2.5), 300, 5), NoiseParams(0.2, 0.1), 6)
+    save_with_sidecar(data, path)
+    before = path.stat()
+    text = path.read_text()
+    first_row = text.splitlines()[1]
+    edited_row = first_row[:-3] + ("1,1" if first_row.endswith("0,0") else "0,0")
+    path.write_text(text.replace(first_row, edited_row, 1))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    loaded = load_dataset_csv(path)
+    assert_same_dataset(loaded, parse_line_by_line(path))
+    assert (loaded.y_clean[0], loaded.z_observed[0]) != (data.y_clean[0], data.z_observed[0])
+
+
+def forged_sidecar(path, sidecar, kind, data):
+    """Replace the sidecar with one that holds the CSV's digest and the given defect."""
+    digest = np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8)
+    x, y, z = data.x + 1.0, 1 - data.y_clean, data.z_observed  # what a served sidecar returns
+    if kind == "truncated":
+        raw = Path(sidecar).read_bytes()
+        Path(sidecar).write_bytes(raw[:len(raw) // 2])
+        return
+    if kind == "corrupt":  # a flipped byte in the x member's data; its CRC no longer matches
+        raw = bytearray(Path(sidecar).read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        Path(sidecar).write_bytes(bytes(raw))
+        return
+    members = {"sha256": digest, "x": x, "y_clean": y, "z_observed": z}
+    if kind == "wrong-dtype":
+        members["y_clean"] = y.astype(np.int32)
+    elif kind == "wrong-length":
+        members = {"sha256": digest, "x": x[1:], "y_clean": y[1:], "z_observed": z[1:]}
+    elif kind == "wrong-shape":
+        members["x"] = x.ravel()
+    elif kind == "fortran-order":
+        members["x"] = np.asfortranarray(x)
+    elif kind == "missing-member":
+        del members["z_observed"]
+    elif kind == "pickled":
+        members["z_observed"] = z.astype(object)
+    elif kind == "labels-not-0-1":
+        members["z_observed"] = z + 1
+    elif kind == "other-digest":
+        members["sha256"] = np.frombuffer(hashlib.sha256(b"other").digest(), np.uint8)
+    np.savez(sidecar, **members)
+
+
+SIDECAR_DEFECTS = ["truncated", "corrupt", "wrong-dtype", "wrong-length", "wrong-shape",
+                   "fortran-order", "missing-member", "pickled", "labels-not-0-1", "other-digest"]
+
+
+@pytest.mark.parametrize("kind", ["sound"] + SIDECAR_DEFECTS)
+def test_a_damaged_sidecar_falls_back_to_the_csv_parse(tmp_path, kind):
+    path = tmp_path / "data.csv"
+    data = flip_labels(sample_dataset(make_random_problem(7, 2.5), 2000, 8), NoiseParams(0.2, 0.1), 9)
+    sidecar = save_with_sidecar(data, path)
+    forged_sidecar(path, sidecar, kind, data)
+    loaded = load_dataset_csv(path)
+    if kind == "sound":  # a sidecar that holds the CSV's digest is trusted
+        assert_same_dataset(loaded, Dataset(data.x + 1.0, 1 - data.y_clean, data.z_observed))
+    else:
+        assert_same_dataset(loaded, data)
+
+
+@pytest.mark.parametrize("content,line", MALFORMED_CSVS)
+def test_a_malformed_csv_next_to_a_sidecar_reports_its_line(tmp_path, content, line):
+    path = tmp_path / "bad.csv"
+    save_with_sidecar(awkward_dataset(CHUNK + 1), path)
+    path.write_text(content)
+    with pytest.raises(DatasetFormatError, match=f"line {line}"):
+        load_dataset_csv(path)
 
 
 def parse_line_by_line(path):
