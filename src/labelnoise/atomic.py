@@ -8,12 +8,24 @@ it is complete; a write that fails or is interrupted leaves ``path`` absent
 or with its old bytes.  A symlinked ``path`` is followed, so the file it
 points to is replaced and the link stays, and a replaced file keeps its
 permission bits.  A target that exists and is not a regular file (a FIFO,
-``/dev/stdout``) is written in place, since it cannot be replaced.
+a device) is written in place, since it cannot be replaced, and so is the
+process's own stdout (``/dev/fd/1``) when it is a regular file: replacing that
+file would leave the descriptor on an unlinked copy and the name resolved
+through it pointing nowhere.
 """
 
 import os
 import stat
 from contextlib import contextmanager
+
+
+def is_stdout(path) -> bool:
+    """Whether path names the file this process's standard output (fd 1) writes to."""
+    try:
+        named, out = os.stat(path), os.fstat(1)
+    except OSError:
+        return False
+    return (named.st_dev, named.st_ino) == (out.st_dev, out.st_ino)
 
 
 @contextmanager
@@ -25,7 +37,7 @@ def atomic_open(path, binary: bool = False):
         st_mode = os.stat(path).st_mode
     except FileNotFoundError:
         st_mode = None
-    if st_mode is not None and not stat.S_ISREG(st_mode):
+    if st_mode is not None and (not stat.S_ISREG(st_mode) or is_stdout(path)):
         with open(path, mode, newline=newline) as fh:
             yield fh
         return

@@ -11,7 +11,8 @@ Subcommands:
 * bernoulli — flipped-coin demo: closed-form rate recovery vs grid-search MLE
 
 Batch-only by design: every run reads flags/config, writes its outputs plus
-a JSON manifest, and exits.  Usage and config errors exit 2; runtime
+a JSON manifest (none next to an output that is not a regular file, or is
+stdout), and exits.  Usage and config errors exit 2; runtime
 failures (missing/malformed files, diverged training) exit 1, and so does
 a stdout its reader closed early, silently.
 """
@@ -26,7 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, experiments, mlp, svgchart, synthdata
-from .atomic import atomic_open
+from .atomic import atomic_open, is_stdout
 from .calculus import (
     ClassPriors,
     NoiseParams,
@@ -66,6 +67,20 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: list[str],
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _output_manifest(out: Path, command: str, args, outputs: list[str], started: str) -> Path | None:
+    """Write the manifest next to a command's output file and return its path.
+
+    None, and no manifest, for a target that is not a regular file (a FIFO or
+    a device) or is the process's stdout: `/dev/fd/1.manifest.json` names no
+    file that can be made.
+    """
+    if not out.is_file() or is_stdout(out):
+        return None
+    manifest = out.with_name(out.name + ".manifest.json")
+    _write_manifest(manifest, command, _flag_values(args), outputs, started)
+    return manifest
 
 
 def _flag_values(args) -> dict:
@@ -108,14 +123,15 @@ def cmd_gen(args) -> int:
     clean = synthdata.sample_dataset(problem, args.n, derive_seed(args.seed, "gen-sample"))
     data = synthdata.flip_labels(clean, noise, derive_seed(args.seed, "gen-flip"))
     out = Path(args.out)
+    log = sys.stderr if is_stdout(out) else sys.stdout  # stdout then carries only the CSV
     sidecar = synthdata.save_dataset_csv(data, out)
-    manifest = out.with_name(out.name + ".manifest.json")
     outputs = [str(out)] if sidecar is None else [str(out), sidecar]
-    _write_manifest(manifest, "gen", _flag_values(args), outputs, started)
-    print(f"wrote {len(data)} samples to {out}")
-    print(f"clean class-1 fraction    {float((data.y_clean == 1).mean())!r}")
-    print(f"observed class-1 fraction {float((data.z_observed == 1).mean())!r}")
-    print(f"manifest {manifest}")
+    manifest = _output_manifest(out, "gen", args, outputs, started)
+    print(f"wrote {len(data)} samples to {out}", file=log)
+    print(f"clean class-1 fraction    {float((data.y_clean == 1).mean())!r}", file=log)
+    print(f"observed class-1 fraction {float((data.z_observed == 1).mean())!r}", file=log)
+    if manifest is not None:
+        print(f"manifest {manifest}", file=log)
     return 0
 
 
@@ -128,16 +144,17 @@ def cmd_train(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.learning_rate,
         momentum=args.momentum, weight_decay=args.weight_decay, init_seed=args.seed,
         early_stop_tol=args.early_stop_tol))
+    out = Path(args.out)
+    log = sys.stderr if is_stdout(out) else sys.stdout  # stdout then carries only the model
     data = synthdata.load_dataset_csv(args.data)
     result = mlp.train(data.x, data.z_observed, arch, cfg)
     for i, ep_loss in enumerate(result.epoch_losses, start=1):
-        print(f"epoch {i}/{cfg.epochs}  loss {ep_loss:.6f}")
-    out = Path(args.out)
+        print(f"epoch {i}/{cfg.epochs}  loss {ep_loss:.6f}", file=log)
     mlp.save_model(result.params, out)
-    manifest = out.with_name(out.name + ".manifest.json")
-    _write_manifest(manifest, "train", _flag_values(args), [str(out)], started)
-    print(f"saved model to {out}")
-    print(f"manifest {manifest}")
+    manifest = _output_manifest(out, "train", args, [str(out)], started)
+    print(f"saved model to {out}", file=log)
+    if manifest is not None:
+        print(f"manifest {manifest}", file=log)
     return 0
 
 

@@ -21,7 +21,9 @@ Each batched operation does for every network what it does for one alone,
 so a stack gives each network the bits it would get alone; ``train`` is
 the stack of one.  A stack keeps its shape for the whole call, so its views
 and buffers are made once per call.  Each epoch, every network draws its
-own shuffle, and one gather from the stacked inputs serves the stack.
+own shuffle into one (R, n) row order; each window of batches (see below)
+then gathers its rows of every network from the stacked inputs into one
+window-sized buffer, so a call holds no shuffled copy of a whole dataset.
 MlpParams and Gradients keep one array per layer.  ``_blocks`` is the model
 file's layout, which save_model writes and load_model parses block by block.
 
@@ -470,34 +472,42 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     decay = np.empty((stack, n_weights)) if cfg.weight_decay else None
 
     x_rows, t_rows = x.reshape(-1, arch.input_dim), t.reshape(-1)  # network r owns rows r*n ..
-    xs, ts = np.empty_like(x), np.empty_like(t)  # this epoch's rows of each network
+    order = np.empty((stack, n), dtype=np.intp)  # this epoch's rows of each network, in order
     full = n - n % cfg.batch_size
     spans = [(rows, starts, _step_buffers(arch, stack, rows, len(starts)))  # batch rows, starts, buffers
              for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)),
                                   (n - full, range(full, n, cfg.batch_size))) if starts]
+    # a window's rows of each network, gathered into a contiguous prefix of these
+    most = max(rows * len(step.scores) for rows, _, step in spans)
+    x_window, t_window = np.empty(stack * most * arch.input_dim), np.empty(stack * most)
     epoch_losses: list[list[float]] = []  # per epoch, one loss per network
     averaged = 0
     for epoch in range(cfg.epochs):
-        # each network shuffles its own rows, in stack order; one gather serves the stack.
-        # The indices are always in range; mode="raise" would gather through a hidden copy of out
-        order = np.array([shuffle.permutation(n) for shuffle in shuffles])
-        order += np.arange(stack)[:, None] * n
-        np.take(x_rows, order, axis=0, out=xs, mode="clip")
-        np.take(t_rows, order, out=ts, mode="clip")
+        # each network shuffles its own rows, in stack order: the draw of permutation(n), offset
+        for r, (row, shuffle) in enumerate(zip(order, shuffles)):
+            row[:] = np.arange(r * n, (r + 1) * n)
+            shuffle.shuffle(row)
         running = np.zeros(stack)
         for rows, starts, step in spans:
             for first in range(0, len(starts), len(step.scores)):
-                window = starts[first:first + len(step.scores)]
-                for s, start in zip(step.scores, window):
-                    batch = slice(start, start + rows)
+                batches = len(starts[first:first + len(step.scores)])
+                span = order[:, starts[first]:starts[first] + batches * rows]
+                xs = x_window[:span.size * arch.input_dim].reshape(*span.shape, arch.input_dim)
+                ts = t_window[:span.size].reshape(span.shape)
+                # one gather serves the stack.  The indices are always in range;
+                # mode="raise" would gather through a hidden copy of out
+                np.take(x_rows, span, axis=0, out=xs, mode="clip")
+                np.take(t_rows, span, out=ts, mode="clip")
+                for k, s in enumerate(step.scores[:batches]):
+                    batch = slice(k * rows, (k + 1) * rows)
                     _backprop(weights, biases, xs[:, batch], ts[:, batch], grads, step, s)
                     if cfg.weight_decay:
                         g[:, :n_weights] += np.multiply(theta[:, :n_weights], cfg.weight_decay, out=decay)
                     velocity *= cfg.momentum
                     velocity -= np.multiply(g, cfg.learning_rate, out=g)
                     theta += velocity
-                targets = ts[:, window[0]:window[-1] + rows].reshape(stack, len(window), rows)
-                running = _add_window_losses(running, step.scores[:len(window)], targets.transpose(1, 0, 2))
+                targets = ts.reshape(stack, batches, rows).transpose(1, 0, 2)
+                running = _add_window_losses(running, step.scores[:batches], targets)
         losses = (running / n).tolist()
         for r, value in enumerate(losses):
             if not math.isfinite(value):

@@ -15,9 +15,12 @@ inner loop per point, for the random problems' k = 2 components.
 Label corruption is feature-independent flipping applied after sampling,
 so a corrupted dataset carries both the clean label y and the observed
 label z.  All sampling is a pure function of (problem, n, seed); random
-streams come from seeding.make_rng.
+streams come from seeding.make_rng.  Sampling and flipping draw a block of
+_BLOCK_ROWS rows at a time, in the stream order of whole-array draws and with
+their bits, so that a dataset is held once plus block-sized temporaries.  A
+freshly sampled dataset's observed labels are its clean label array itself.
 
-Datasets round-trip through a CSV file.  The writer formats a thousand
+Datasets round-trip through a CSV file.  The writer formats one block of
 rows per write.  The loader parses a regular file whole with numpy and falls
 back to a line-by-line parser, the only one that reports errors, each with
 its line number.  Both accept the same files: labels must be the integers
@@ -51,9 +54,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 CSV_FIELDS = ("x1", "x2", "y_clean", "z_observed")
 _CSV_DTYPE = list(zip(CSV_FIELDS, ("f8", "f8", "i8", "i8")))
 _CSV_ROW = "%.17g,%.17g,%d,%d\n"
-# rows formatted per write: each chunk's text and value tuple stay below glibc's
-# 128 KiB mmap threshold; 4096-row chunks left up to 12 MB of freed heap held
-_CSV_CHUNK_ROWS = 1024
+# rows drawn, flipped or formatted at a time: a block's draws, and a CSV chunk's
+# text and value tuple, stay below glibc's 128 KiB mmap threshold and reuse heap
+# pages; 4096-row CSV chunks left up to 12 MB of freed heap held
+_BLOCK_ROWS = 1024
 # numpy's number parser strips these control bytes around a field; float() and int() do not
 _NUMPY_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
@@ -250,25 +254,41 @@ def clean_posterior(problem: ProblemInstance, x) -> float | np.ndarray:
     return float(post) if post.ndim == 0 else post
 
 
+def _row_blocks(n: int):
+    """Slices of _BLOCK_ROWS consecutive rows (the last one shorter) covering range(n)."""
+    return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
+
+
 def sample_dataset(problem: ProblemInstance, n: int, seed: int) -> Dataset:
-    """Draw n labeled points; observed labels start out equal to clean ones."""
+    """Draw n labeled points; observed labels start out equal to clean ones (the same array).
+
+    The draws come in the order of whole-array draws: every clean label,
+    then per class (1, then 0) every component choice and then the normals of
+    the class's rows in row order.  Drawn _BLOCK_ROWS at a time, they give
+    the same bits.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
     rng = make_rng(seed, "sample")
-    y = (rng.random(n) < problem.clean_priors.p1).astype(np.int64)
+    y = np.empty(n, dtype=np.int64)
+    for block in _row_blocks(n):
+        y[block] = rng.random(block.stop - block.start) < problem.clean_priors.p1
     x = np.empty((n, 2))
     for label, model in ((1, problem.model1), (0, problem.model0)):
-        idx = np.flatnonzero(y == label)
-        if idx.size:
-            x[idx] = _sample_mixture(model, idx.size, rng)
-    return Dataset(x, y, y.copy())
+        _draw_points(x, np.flatnonzero(y == label), model, rng)
+    return Dataset(x, y, y)
 
 
-def _sample_mixture(model: GmmClassModel, m: int, rng: np.random.Generator) -> np.ndarray:
-    comp = rng.choice(model.n_components, size=m, p=model.weights)
-    z = rng.standard_normal((m, 2))
+def _draw_points(x: np.ndarray, rows: np.ndarray, model: GmmClassModel, rng: np.random.Generator):
+    """Fill x[rows] with draws from model: every component choice first, then the normals."""
+    comp = np.empty(rows.size, dtype=np.int64)
+    for block in _row_blocks(rows.size):
+        comp[block] = rng.choice(model.n_components, size=block.stop - block.start, p=model.weights)
     chol = np.linalg.cholesky(model.covariances)
-    return model.means[comp] + np.einsum("nij,nj->ni", chol[comp], z)
+    for block in _row_blocks(rows.size):
+        c = comp[block]
+        z = rng.standard_normal((c.size, 2))
+        x[rows[block]] = model.means[c] + np.einsum("nij,nj->ni", chol[c], z)
 
 
 def flip_labels(data: Dataset, noise: NoiseParams, seed: int) -> Dataset:
@@ -277,8 +297,11 @@ def flip_labels(data: Dataset, noise: NoiseParams, seed: int) -> Dataset:
     Features and clean labels are untouched (and shared with the input);
     only the observed column changes.
     """
-    u = make_rng(seed, "flip").random(len(data))
-    return Dataset(data.x, data.y_clean, observe(data.y_clean, u, noise))
+    rng = make_rng(seed, "flip")
+    z = np.empty(len(data), dtype=np.int64)
+    for block in _row_blocks(len(data)):
+        z[block] = observe(data.y_clean[block], rng.random(block.stop - block.start), noise)
+    return Dataset(data.x, data.y_clean, z)
 
 
 def observe(y, u, noise: NoiseParams) -> np.ndarray:
@@ -324,10 +347,9 @@ def save_dataset_csv(data: Dataset, path) -> str | None:
 
 
 def _csv_chunks(data: Dataset):
-    """The CSV text: the header, then one string per _CSV_CHUNK_ROWS rows."""
+    """The CSV text: the header, then one string per _BLOCK_ROWS rows."""
     yield ",".join(CSV_FIELDS) + "\n"
-    for start in range(0, len(data), _CSV_CHUNK_ROWS):
-        rows = slice(start, start + _CSV_CHUNK_ROWS)
+    for rows in _row_blocks(len(data)):
         columns = (data.x[rows, 0], data.x[rows, 1], data.y_clean[rows], data.z_observed[rows])
         values = [None] * (len(CSV_FIELDS) * len(columns[0]))
         for j, column in enumerate(columns):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import select
@@ -7,6 +8,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -140,10 +142,37 @@ def test_gen_into_a_fifo_writes_no_sidecar(capsys, tmp_path):
     regular = tmp_path / "regular.csv"
     assert main(["gen", "--out", str(regular), "--n", "50", "--seed", "9"]) == 0
     assert got == [regular.read_bytes()]
-    assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.manifest.json", "regular.csv",
+    # only a regular file gets a manifest next to it, so the FIFO gets none
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "regular.csv",
                                             "regular.csv.manifest.json", "regular.csv.npz"]
-    manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text())
-    assert manifest["outputs"] == [str(fifo)]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd/1"), reason="no /dev/fd")
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_an_output_to_stdout_is_all_that_stdout_carries(tmp_path, command, stdout):
+    # `--out /dev/fd/1`: the summary goes to stderr, and no manifest is tried next to /dev/fd/1
+    data = tmp_path / "d.csv"
+    assert main(["gen", "--out", str(data), "--n", "40", "--seed", "3"]) == 0
+    argv = (["gen", "--n", "40", "--seed", "3"] if command == "gen"
+            else ["train", "--data", str(data), "--epochs", "2"])
+    regular = tmp_path / "regular.out"
+    assert main([*argv, "--out", str(regular)]) == 0
+    before = set(os.listdir(tmp_path))
+    out = tmp_path / "stdout.out"
+    with open(out, "wb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "labelnoise.cli", *argv, "--out", "/dev/fd/1"],
+                              stdout=subprocess.PIPE if stdout == "pipe" else fh, stderr=subprocess.PIPE,
+                              env=module_env(), timeout=60)
+    assert proc.returncode == 0
+    assert (proc.stdout if stdout == "pipe" else out.read_bytes()) == regular.read_bytes()
+    assert " to /dev/fd/1\n" in proc.stderr.decode() and "manifest" not in proc.stderr.decode()
+    # a regular stdout is written in place, so a gen sidecar lands next to it, keyed by its bytes
+    made = {"stdout.out"} | ({"stdout.out.npz"} if stdout == "file" and command == "gen" else set())
+    assert set(os.listdir(tmp_path)) - before == made
+    if "stdout.out.npz" in made:
+        with np.load(tmp_path / "stdout.out.npz") as npz:
+            assert npz["sha256"].tobytes() == hashlib.sha256(out.read_bytes()).digest()
 
 
 def test_train_and_eval_give_the_same_bytes_without_the_sidecar(capsys, tmp_path):

@@ -31,6 +31,8 @@ from labelnoise.synthdata import (
     save_dataset_csv,
 )
 
+BLOCK = synthdata._BLOCK_ROWS  # rows a block draw or a CSV write chunk holds
+
 
 def unit_gaussian(mean):
     return GmmClassModel(np.array([1.0]), np.array([mean], dtype=float), np.eye(2)[None, :, :])
@@ -365,6 +367,58 @@ def test_flip_labels_empirical_rates():
     assert (flipped.z_observed == 1).mean() == pytest.approx(expect, abs=0.01)
 
 
+# ------------------------------------------------- block draws keep the bits
+
+def reference_sample_dataset(problem, n, seed):
+    """The whole-array sampler that sample_dataset must match bit for bit."""
+    rng = make_rng(seed, "sample")
+    y = (rng.random(n) < problem.clean_priors.p1).astype(np.int64)
+    x = np.empty((n, 2))
+    for label, model in ((1, problem.model1), (0, problem.model0)):
+        idx = np.flatnonzero(y == label)
+        if idx.size:
+            comp = rng.choice(model.n_components, size=idx.size, p=model.weights)
+            z = rng.standard_normal((idx.size, 2))
+            chol = np.linalg.cholesky(model.covariances)
+            x[idx] = model.means[comp] + np.einsum("nij,nj->ni", chol[comp], z)
+    return Dataset(x, y, y.copy())
+
+
+def reference_flip_labels(data, noise, seed):
+    """The whole-array flipper that flip_labels must match bit for bit."""
+    u = make_rng(seed, "flip").random(len(data))
+    return Dataset(data.x, data.y_clean, observe(data.y_clean, u, noise))
+
+
+@pytest.mark.parametrize("p1", [0.0, 0.02, 0.5, 1.0])  # 0 and 1 leave a class empty
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 200_000])
+def test_block_draws_give_the_bits_of_whole_array_draws(n, p1):
+    problem = make_random_problem(n % 97, 2.5, p1)
+    data = sample_dataset(problem, n, 31)
+    expected = reference_sample_dataset(problem, n, 31)
+    flipped = flip_labels(data, NoiseParams(0.3, 0.1), 32)
+    expected_flipped = reference_flip_labels(expected, NoiseParams(0.3, 0.1), 32)
+    pairs = [(data.x, expected.x), (data.y_clean, expected.y_clean),
+             (data.z_observed, expected.z_observed), (flipped.z_observed, expected_flipped.z_observed)]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sample_dataset_holds_the_dataset_once(traced_peak):
+    # whole-array draws held the normals, the component rows and a copy of y: 3.0x
+    problem = make_random_problem(33, 2.5)
+    data, peak = traced_peak(lambda: sample_dataset(problem, 200_000, 34))
+    assert peak <= 2.0 * (data.x.nbytes + data.y_clean.nbytes)
+
+
+def test_flip_labels_holds_one_new_label_column(traced_peak):
+    # the whole-array flip held a uniform per row next to the new column: 2.38x
+    data = sample_dataset(make_random_problem(35, 2.5), 200_000, 36)
+    flipped, peak = traced_peak(lambda: flip_labels(data, NoiseParams(0.3, 0.1), 37))
+    assert peak <= 1.8 * flipped.z_observed.nbytes
+
+
 # ------------------------------------------------------------ bayes accuracy
 
 def test_bayes_accuracy_identical_models_is_prior_mass():
@@ -410,12 +464,11 @@ def reference_save_dataset_csv(data, path):
             )
 
 
-CHUNK = synthdata._CSV_CHUNK_ROWS
 AWKWARD_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 1.0, 0.1,
                   -5e-324, -1.7976931348623157e308, 2.0 ** 53 + 2.0]
 
 
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_save_dataset_csv_matches_the_per_row_writer(tmp_path, n):
     rng = make_rng(41, "csv-writer", n)
     x = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
@@ -555,7 +608,7 @@ def save_with_sidecar(data, path):
     return sidecar
 
 
-@pytest.mark.parametrize("n", [1, CHUNK + 1])
+@pytest.mark.parametrize("n", [1, BLOCK + 1])
 def test_csv_sidecar_loads_the_bytes_and_dtypes_of_the_csv_parse(tmp_path, monkeypatch, n):
     path = tmp_path / "data.csv"
     data = awkward_dataset(n)
@@ -573,7 +626,7 @@ def test_csv_sidecar_loads_the_bytes_and_dtypes_of_the_csv_parse(tmp_path, monke
 def test_a_csv_saved_through_a_symlink_keeps_its_sidecar_next_to_the_real_file(tmp_path, monkeypatch):
     real, link = tmp_path / "real.csv", tmp_path / "link.csv"
     link.symlink_to(real.name)
-    data = awkward_dataset(CHUNK + 1)
+    data = awkward_dataset(BLOCK + 1)
     save_with_sidecar(data, link)
     assert link.is_symlink()
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv", "real.csv.npz"]
@@ -653,7 +706,7 @@ def test_a_damaged_sidecar_falls_back_to_the_csv_parse(tmp_path, kind):
 @pytest.mark.parametrize("content,line", MALFORMED_CSVS)
 def test_a_malformed_csv_next_to_a_sidecar_reports_its_line(tmp_path, content, line):
     path = tmp_path / "bad.csv"
-    save_with_sidecar(awkward_dataset(CHUNK + 1), path)
+    save_with_sidecar(awkward_dataset(BLOCK + 1), path)
     path.write_text(content)
     with pytest.raises(DatasetFormatError, match=f"line {line}"):
         load_dataset_csv(path)
