@@ -8,10 +8,11 @@ it is complete; a write that fails or is interrupted leaves ``path`` absent
 or with its old bytes.  A symlinked ``path`` is followed, so the file it
 points to is replaced and the link stays, and a replaced file keeps its
 permission bits.  A target that exists and is not a regular file (a FIFO,
-a device) is written in place, since it cannot be replaced, and so is the
-process's own stdout (``/dev/fd/1``) when it is a regular file: replacing that
-file would leave the descriptor on an unlinked copy and the name resolved
-through it pointing nowhere.
+a device) is written in place, since it cannot be replaced, and so is a
+name of one of the process's open descriptors (``/dev/fd/N``,
+``/proc/self/fd/N``) and the file of its stdout, also when it is a regular
+file: replacing that file would leave the descriptor on an unlinked copy and
+the name resolved through it pointing at ``<file> (deleted)``.
 """
 
 import os
@@ -28,6 +29,24 @@ def is_stdout(path) -> bool:
     return (named.st_dev, named.st_ino) == (out.st_dev, out.st_ino)
 
 
+def names_descriptor(path) -> bool:
+    """Whether path is a descriptor's name, /dev/fd/N or /proc/self/fd/N, or a link to one.
+
+    Links are followed one at a time up to the first name inside a descriptor
+    directory, so /dev/stderr, a link to /proc/self/fd/2, is one too.
+    """
+    fd_dirs = {os.path.realpath("/dev/fd"), os.path.realpath("/proc/self/fd")}
+    path = os.path.abspath(path)
+    for _ in range(40):  # a longer chain of links is a loop
+        head, name = os.path.split(path)
+        if name.isascii() and name.isdigit() and os.path.realpath(head) in fd_dirs:
+            return True
+        if not os.path.islink(path):
+            return False
+        path = os.path.join(head, os.readlink(path))
+    return False
+
+
 @contextmanager
 def atomic_open(path, binary: bool = False):
     """File handle whose contents land at path on a clean exit: text (newline="") or binary."""
@@ -37,7 +56,7 @@ def atomic_open(path, binary: bool = False):
         st_mode = os.stat(path).st_mode
     except FileNotFoundError:
         st_mode = None
-    if st_mode is not None and (not stat.S_ISREG(st_mode) or is_stdout(path)):
+    if (st_mode is not None and not stat.S_ISREG(st_mode)) or names_descriptor(path) or is_stdout(path):
         with open(path, mode, newline=newline) as fh:
             yield fh
         return

@@ -12,9 +12,9 @@ Subcommands:
 
 Batch-only by design: every run reads flags/config, writes its outputs plus
 a JSON manifest (none next to an output that is not a regular file, or is
-stdout), and exits.  Usage and config errors exit 2; runtime
-failures (missing/malformed files, diverged training) exit 1, and so does
-a stdout its reader closed early, silently.
+a descriptor such as stdout), and exits.  Usage and config errors exit 2;
+runtime failures (missing/malformed files, diverged training) exit 1, and so
+does a stdout its reader closed early, silently.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, experiments, mlp, svgchart, synthdata
-from .atomic import atomic_open, is_stdout
+from .atomic import atomic_open, is_stdout, names_descriptor
 from .calculus import (
     ClassPriors,
     NoiseParams,
@@ -73,10 +73,10 @@ def _output_manifest(out: Path, command: str, args, outputs: list[str], started:
     """Write the manifest next to a command's output file and return its path.
 
     None, and no manifest, for a target that is not a regular file (a FIFO or
-    a device) or is the process's stdout: `/dev/fd/1.manifest.json` names no
-    file that can be made.
+    a device), names a descriptor or is the process's stdout:
+    `/dev/fd/3.manifest.json` names no file that can be made.
     """
-    if not out.is_file() or is_stdout(out):
+    if not out.is_file() or names_descriptor(out) or is_stdout(out):
         return None
     manifest = out.with_name(out.name + ".manifest.json")
     _write_manifest(manifest, command, _flag_values(args), outputs, started)
@@ -180,16 +180,17 @@ def cmd_eval(args) -> int:
     threshold = _resolve_threshold(args)
     params = mlp.load_model(args.model)
     data = synthdata.load_dataset_csv(args.data)
-    labels = data.y_clean if args.labels == "clean" else data.z_observed
-    pred = mlp.classify(params, data.x, threshold)
-    tp = int(((pred == 1) & (labels == 1)).sum())
-    fp = int(((pred == 1) & (labels == 0)).sum())
-    fn = int(((pred == 0) & (labels == 1)).sum())
-    tn = int(((pred == 0) & (labels == 0)).sum())
+    positive = (data.y_clean if args.labels == "clean" else data.z_observed) == 1
+    # the score-space decision of mlp.classify and the grids, kept as a bool column
+    pred = mlp.score(params, data.x) >= mlp.score_cut(threshold)
+    tp = int((pred & positive).sum())
+    fp = int(pred.sum()) - tp
+    fn = int(positive.sum()) - tp
+    tn = len(data) - tp - fp - fn
     print(f"threshold   {threshold!r}")
     print(f"labels      {args.labels}")
     print(f"samples     {len(data)}")
-    print(f"accuracy    {float((pred == labels).mean())!r}")
+    print(f"accuracy    {float((pred == positive).mean())!r}")
     print(f"tp fp fn tn {tp} {fp} {fn} {tn}")
     return 0
 

@@ -24,6 +24,10 @@ and buffers are made once per call.  Each epoch, every network draws its
 own shuffle into one (R, n) row order; each window of batches (see below)
 then gathers its rows of every network from the stacked inputs into one
 window-sized buffer, so a call holds no shuffled copy of a whole dataset.
+The targets, checked to be 0/1, are gathered in their own dtype (a
+Dataset's int64 labels) and cast to float64 a window at a time, so a call
+holds no float64 copy of the target column either; the row order is
+refilled in place each epoch.
 MlpParams and Gradients keep one array per layer.  ``_blocks`` is the model
 file's layout, which save_model writes and load_model parses block by block.
 
@@ -315,12 +319,13 @@ def _softplus(s: np.ndarray) -> np.ndarray:
 
 
 def _as_targets(t, shape: tuple[int, ...]) -> np.ndarray:
+    """t as an array of the given shape, checked to hold only 0 and 1, in its own dtype."""
     t = np.asarray(t)
     if t.shape != shape:
         raise ValueError(f"targets must have shape {shape}, got {t.shape}")
     if not ((t == 0) | (t == 1)).all():
         raise ValueError("targets must be 0 or 1")
-    return t.astype(np.float64, copy=False)
+    return t
 
 
 def loss(params: MlpParams, x, targets) -> float:
@@ -333,7 +338,7 @@ def loss(params: MlpParams, x, targets) -> float:
     x, _ = _as_batch(params.arch.input_dim, x)
     if x.shape[0] == 0:
         raise ValueError("loss needs at least one sample")
-    t = _as_targets(targets, x.shape[:1])
+    t = _as_targets(targets, x.shape[:1]).astype(np.float64, copy=False)
     _, s = _forward_stack(params.weights, params.biases, x)
     return float(np.mean(_softplus(s) - t * s))
 
@@ -414,7 +419,7 @@ def grad(params: MlpParams, x, targets) -> Gradients:
     x, _ = _as_batch(params.arch.input_dim, x)
     if x.shape[0] == 0:
         raise ValueError("grad needs at least one sample")
-    t = _as_targets(targets, x.shape[:1])
+    t = _as_targets(targets, x.shape[:1]).astype(np.float64, copy=False)
     g = np.empty(sum(a.size for a in params.weights + params.biases))  # the layout of _layers
     buffers = _step_buffers(params.arch, 1, x.shape[0], 1)
     _backprop([w[None] for w in params.weights], [b[None, None] for b in params.biases],
@@ -477,15 +482,19 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     spans = [(rows, starts, _step_buffers(arch, stack, rows, len(starts)))  # batch rows, starts, buffers
              for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)),
                                   (n - full, range(full, n, cfg.batch_size))) if starts]
-    # a window's rows of each network, gathered into a contiguous prefix of these
+    # a window's rows of each network, gathered into a contiguous prefix of these;
+    # the targets in their own dtype, then cast to the float64 the step reads
     most = max(rows * len(step.scores) for rows, _, step in spans)
     x_window, t_window = np.empty(stack * most * arch.input_dim), np.empty(stack * most)
+    t_gather = np.empty(stack * most, dtype=t.dtype)
     epoch_losses: list[list[float]] = []  # per epoch, one loss per network
     averaged = 0
     for epoch in range(cfg.epochs):
         # each network shuffles its own rows, in stack order: the draw of permutation(n), offset
         for r, (row, shuffle) in enumerate(zip(order, shuffles)):
-            row[:] = np.arange(r * n, (r + 1) * n)
+            row.fill(1)  # r*n, r*n + 1, ...: ones summed in place, with no arange temporary
+            row[0] = r * n
+            np.cumsum(row, out=row)
             shuffle.shuffle(row)
         running = np.zeros(stack)
         for rows, starts, step in spans:
@@ -497,7 +506,8 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
                 # one gather serves the stack.  The indices are always in range;
                 # mode="raise" would gather through a hidden copy of out
                 np.take(x_rows, span, axis=0, out=xs, mode="clip")
-                np.take(t_rows, span, out=ts, mode="clip")
+                ts[...] = np.take(t_rows, span, out=t_gather[:span.size].reshape(span.shape),
+                                  mode="clip")
                 for k, s in enumerate(step.scores[:batches]):
                     batch = slice(k * rows, (k + 1) * rows)
                     _backprop(weights, biases, xs[:, batch], ts[:, batch], grads, step, s)

@@ -28,7 +28,10 @@ its line number.  Both accept the same files: labels must be the integers
 
 The CSV is the format; its sidecar `<csv>.npz` is a cache keyed by the
 CSV's content.  The writer hashes the bytes it writes and, for a regular
-file, then stores the sha256 and the three arrays in the sidecar.  The
+file named by its path (or stdout's file), then stores the sha256 and the
+three arrays in the sidecar.  It writes the zip members itself, each an
+.npy header and then the array's own buffer: the layout np.savez writes,
+without the whole-array bytes copy savez makes of each array.  The
 loader uses the sidecar only when the CSV's bytes still hash to that digest
 and the arrays have the CSV's row count and the writer's dtypes; any other
 sidecar, or none, means the CSV is parsed.  Editing the CSV therefore
@@ -41,11 +44,12 @@ import io
 import math
 import os
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, is_stdout, names_descriptor
 from .calculus import ClassPriors, NoiseParams, logistic
 from .seeding import make_rng
 
@@ -329,7 +333,8 @@ def save_dataset_csv(data: Dataset, path) -> str | None:
     """Write x1,x2,y_clean,z_observed rows; floats keep 17 significant digits.
 
     A regular file also gets its sidecar, written after the CSV is complete;
-    returns the sidecar's path, or None for a FIFO or a device.
+    returns the sidecar's path, or None for a FIFO, a device or a descriptor
+    other than stdout (``/dev/fd/3``).
     """
     digest = hashlib.sha256()
     with atomic_open(path, binary=True) as fh:
@@ -337,12 +342,18 @@ def save_dataset_csv(data: Dataset, path) -> str | None:
             chunk = text.encode("ascii")
             digest.update(chunk)
             fh.write(chunk)
-    if not os.path.isfile(path):
+    if not os.path.isfile(path) or (names_descriptor(path) and not is_stdout(path)):
         return None
     sidecar = _sidecar_path(path)
-    with atomic_open(sidecar, binary=True) as fh:
-        np.savez(fh, sha256=np.frombuffer(digest.digest(), np.uint8), x=data.x,
-                 y_clean=data.y_clean, z_observed=data.z_observed)
+    arrays = {"sha256": np.frombuffer(digest.digest(), np.uint8), "x": data.x,
+              "y_clean": data.y_clean, "z_observed": data.z_observed}
+    with atomic_open(sidecar, binary=True) as fh, zipfile.ZipFile(fh, "w") as npz:
+        for name, array in arrays.items():
+            array = np.ascontiguousarray(array)
+            header = np.lib.format.header_data_from_array_1_0(array)
+            with npz.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(memoryview(array).cast("B"))
     return sidecar
 
 

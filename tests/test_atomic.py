@@ -183,3 +183,16 @@ def test_an_unwritable_target_is_named_in_the_error(tmp_path):
     assert str(path) in str(info.value)
     assert not path.parent.exists()
 
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_descriptor_names_are_told_from_paths_through_links(tmp_path):
+    (tmp_path / "fd").symlink_to("/proc/self/fd")
+    (tmp_path / "err").symlink_to("/proc/self/fd/2")
+    (tmp_path / "to-err").symlink_to(tmp_path / "err")
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    (tmp_path / "2").write_text("")
+    for name in ("/proc/self/fd/2", tmp_path / "fd" / "2", tmp_path / "err", tmp_path / "to-err"):
+        assert atomic.names_descriptor(name), name
+    for name in (tmp_path / "2", tmp_path / "loop", tmp_path / "missing", "/proc/self/fd"):
+        assert not atomic.names_descriptor(name), name

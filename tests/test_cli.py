@@ -175,6 +175,34 @@ def test_an_output_to_stdout_is_all_that_stdout_carries(tmp_path, command, stdou
             assert npz["sha256"].tobytes() == hashlib.sha256(out.read_bytes()).digest()
 
 
+@pytest.mark.parametrize("name", [
+    pytest.param("/dev/fd/{}", id="dev-fd", marks=pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")),
+    pytest.param("/proc/self/fd/{}", id="proc-self-fd",
+                 marks=pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")),
+])
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_an_output_to_another_descriptor_is_written_in_place(tmp_path, command, name):
+    # `--out /dev/fd/N N>file`: replacing the file would leave the descriptor on an
+    # unlinked copy, a sidecar named `file (deleted).npz` and no manifest path to write
+    data = tmp_path / "d.csv"
+    assert main(["gen", "--out", str(data), "--n", "40", "--seed", "3"]) == 0
+    argv = (["gen", "--n", "40", "--seed", "3"] if command == "gen"
+            else ["train", "--data", str(data), "--epochs", "2"])
+    regular = tmp_path / "regular.out"
+    assert main([*argv, "--out", str(regular)]) == 0
+    before = set(os.listdir(tmp_path))
+    out = tmp_path / "fd.out"
+    with open(out, "wb") as fh:
+        target = name.format(fh.fileno())
+        proc = subprocess.run([sys.executable, "-m", "labelnoise.cli", *argv, "--out", target],
+                              pass_fds=(fh.fileno(),), capture_output=True, env=module_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_bytes() == regular.read_bytes()
+    # the summary stays on stdout, which the output does not use, and names no manifest
+    assert f" to {target}\n" in proc.stdout.decode() and "manifest" not in proc.stdout.decode()
+    assert set(os.listdir(tmp_path)) - before == {"fd.out"}
+
+
 def test_train_and_eval_give_the_same_bytes_without_the_sidecar(capsys, tmp_path):
     data = tmp_path / "d.csv"
     assert main(["gen", "--out", str(data), "--n", "700", "--seed", "13",
@@ -225,6 +253,51 @@ def test_eval_accuracy_equals_direct_library_computation(capsys, tmp_path):
     pred = mlp.classify(params, loaded.x, 0.5)
     want = float((pred == loaded.z_observed).mean())
     assert kv(out)["accuracy"][0] == repr(want)
+
+
+@pytest.mark.parametrize("labels", ["clean", "observed"])
+def test_eval_reports_what_classify_decides_ties_included(capsys, tmp_path, labels):
+    threshold = 0.3
+    arch = mlp.Architecture(hidden_sizes=(6, 5))
+    init = mlp.init_params(arch, 51)
+    # zero hidden biases and a last bias at the threshold's logit: a row at the origin scores on the cut
+    params = mlp.MlpParams(arch, init.weights, init.biases[:-1] + (np.array([mlp.score_cut(threshold)]),))
+    rng = np.random.default_rng(52)
+    x = rng.standard_normal((600, 2))
+    x[::7] = 0.0
+    data = synthdata.Dataset(x, rng.integers(0, 2, 600), rng.integers(0, 2, 600))
+    data_path, model_path = tmp_path / "d.csv", tmp_path / "m.txt"
+    synthdata.save_dataset_csv(data, data_path)
+    mlp.save_model(params, model_path)
+    code, out, _ = run_cli(capsys, "eval", "--model", str(model_path), "--data", str(data_path),
+                           "--threshold", repr(threshold), "--labels", labels)
+    assert code == 0
+    params, data = mlp.load_model(model_path), synthdata.load_dataset_csv(data_path)
+    ties = mlp.score(params, data.x) == mlp.score_cut(threshold)
+    assert ties.sum() == len(x[::7])
+    pred = mlp.classify(params, data.x, threshold)
+    truth = data.y_clean if labels == "clean" else data.z_observed
+    tp = int(((pred == 1) & (truth == 1)).sum())
+    fp = int(((pred == 1) & (truth == 0)).sum())
+    fn = int(((pred == 0) & (truth == 1)).sum())
+    tn = int(((pred == 0) & (truth == 0)).sum())
+    assert out == (f"threshold   {threshold!r}\nlabels      {labels}\nsamples     {len(data)}\n"
+                   f"accuracy    {float((pred == truth).mean())!r}\ntp fp fn tn {tp} {fp} {fn} {tn}\n")
+
+
+def test_eval_holds_one_bool_decision_column(capsys, tmp_path, traced_peak):
+    # classify's int64 predictions and the int comparisons held 0.83 x.nbytes past the
+    # dataset's load at 200 000 rows; a bool decision from the scores, 0.50
+    data = synthdata.sample_dataset(synthdata.make_random_problem(53, 2.5), 200_000, 54)
+    data_path, model_path = tmp_path / "d.csv", tmp_path / "m.txt"
+    synthdata.save_dataset_csv(data, data_path)
+    mlp.save_model(mlp.init_params(mlp.Architecture(), 55), model_path)
+    _, load_peak = traced_peak(lambda: synthdata.load_dataset_csv(data_path))
+    code, peak = traced_peak(lambda: main(["eval", "--model", str(model_path), "--data", str(data_path),
+                                           "--threshold", "0.4"]))
+    capsys.readouterr()
+    assert code == 0
+    assert peak - load_peak <= 0.65 * data.x.nbytes
 
 
 def test_eval_symmetric_gamma_flags_match_explicit_half_threshold(capsys, tmp_path):

@@ -5,6 +5,7 @@ import os
 import re
 import threading
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -621,6 +622,29 @@ def test_csv_sidecar_loads_the_bytes_and_dtypes_of_the_csv_parse(tmp_path, monke
     assert_same_dataset(from_sidecar, data)
     assert all(a.flags.c_contiguous for a in (from_sidecar.x, from_sidecar.y_clean,
                                                 from_sidecar.z_observed))
+
+
+def test_the_sidecar_holds_the_members_np_savez_writes(tmp_path):
+    path = tmp_path / "data.csv"
+    data = awkward_dataset(BLOCK + 1)
+    sidecar = save_with_sidecar(data, path)
+    digest = np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8)
+    np.savez(tmp_path / "savez.npz", sha256=digest, x=data.x, y_clean=data.y_clean,
+             z_observed=data.z_observed)
+    with zipfile.ZipFile(sidecar) as ours, zipfile.ZipFile(tmp_path / "savez.npz") as theirs:
+        assert ours.namelist() == theirs.namelist()
+        for mine, want in zip(ours.infolist(), theirs.infolist()):
+            assert (mine.compress_type, mine.file_size, mine.CRC) == (want.compress_type, want.file_size, want.CRC)
+            assert ours.read(mine) == theirs.read(want)
+
+
+def test_save_dataset_csv_holds_no_copy_of_the_features(tmp_path, traced_peak):
+    # np.savez copied each array whole with tobytes: 1.01 x.nbytes at 200 000 rows;
+    # the sidecar's members written from the arrays' own buffers, 0.09
+    data = flip_labels(sample_dataset(make_random_problem(42, 2.5), 200_000, 43), NoiseParams(0.2, 0.1), 44)
+    sidecar, peak = traced_peak(lambda: save_dataset_csv(data, tmp_path / "data.csv"))
+    assert sidecar is not None
+    assert peak <= 0.25 * data.x.nbytes
 
 
 def test_a_csv_saved_through_a_symlink_keeps_its_sidecar_next_to_the_real_file(tmp_path, monkeypatch):
