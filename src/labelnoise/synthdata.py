@@ -21,10 +21,9 @@ their bits, so that a dataset is held once plus block-sized temporaries.  A
 freshly sampled dataset's observed labels are its clean label array itself.
 
 Datasets round-trip through a CSV file.  The writer formats one block of
-rows per write.  The loader parses a regular file whole with numpy and falls
-back to a line-by-line parser, the only one that reports errors, each with
-its line number.  Both accept the same files: labels must be the integers
-0 and 1, and a `#` line is a data error, not a comment.
+rows per write.  The loader has one parser, line by line into typed columns,
+which names the line of every error: labels must be the integers 0 and 1,
+and a `#` line is a data error, not a comment.
 
 The CSV is the format; its sidecar `<csv>.npz` is a cache keyed by the
 CSV's content.  The writer hashes the bytes it writes and, for a regular
@@ -38,12 +37,12 @@ sidecar, or none, means the CSV is parsed.  Editing the CSV therefore
 bypasses the sidecar, and deleting it is always safe.
 """
 
+import array
 import csv
 import hashlib
 import io
 import math
 import os
-import warnings
 import zipfile
 from dataclasses import dataclass
 
@@ -56,14 +55,11 @@ from .seeding import make_rng
 _LOG_2PI = math.log(2.0 * math.pi)
 
 CSV_FIELDS = ("x1", "x2", "y_clean", "z_observed")
-_CSV_DTYPE = list(zip(CSV_FIELDS, ("f8", "f8", "i8", "i8")))
 _CSV_ROW = "%.17g,%.17g,%d,%d\n"
 # rows drawn, flipped or formatted at a time: a block's draws, and a CSV chunk's
 # text and value tuple, stay below glibc's 128 KiB mmap threshold and reuse heap
 # pages; 4096-row CSV chunks left up to 12 MB of freed heap held
 _BLOCK_ROWS = 1024
-# numpy's number parser strips these control bytes around a field; float() and int() do not
-_NUMPY_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class DatasetFormatError(ValueError):
@@ -377,81 +373,47 @@ def load_dataset_csv(path) -> Dataset:
     """Inverse of save_dataset_csv; bad input raises DatasetFormatError with a line number.
 
     A regular file whose sidecar holds the sha256 of its exact bytes loads
-    from the sidecar; any other regular file is first parsed whole by numpy.
-    A file that parse cannot vouch for, and a pipe or device, which can be
-    read only once, go through the line-by-line parser, the one source of
-    error messages.
+    from the sidecar.  Any other file, a pipe or device included, is read
+    once and goes through the line parser, the one source of error messages.
     """
     if os.path.isfile(path):
-        data = _load_dataset_csv_fast(path)
+        data = _load_sidecar(path)
         if data is not None:
             return data
     with open(path, "rb") as fh:  # read once: a pipe cannot be reopened
         raw = fh.read()
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         # no UTF-8 multi-byte sequence contains a newline byte
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise DatasetFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
-    return _parse_dataset_csv(csv.reader(io.StringIO(text, newline="")))
+    # decoded a buffer at a time, from a BytesIO that shares raw's bytes
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as text:
+        return _parse_dataset_csv(csv.reader(text))
 
 
-def _load_dataset_csv_fast(path) -> Dataset | None:
-    """Sidecar or whole-file numeric parse; None where only _parse_dataset_csv can judge the file.
+def _load_sidecar(path) -> Dataset | None:
+    """The arrays save_dataset_csv stored for this CSV's exact bytes and row count, or None.
 
-    The file is hashed, in the block scan for the bytes numpy strips, only
-    when a sidecar exists.  The parse returns a Dataset only for a file that
-    _parse_dataset_csv accepts, with equal arrays: numpy rejects quoted
-    fields, `1_0` and non-ASCII digits, which float() and int() accept, and
-    the Dataset checks reject what both parse but the line parser refuses
-    (non-finite features, labels not 0/1).
+    The CSV is hashed, and its newlines counted, a block at a time and only
+    when a sidecar exists.  None for a sidecar of other bytes, and for any
+    sidecar that cannot be read back exactly as written: the CSV is then
+    parsed as if it had none.
     """
     sidecar = _sidecar_path(path)
-    digest = hashlib.sha256() if os.path.isfile(sidecar) else None  # no sidecar, no hashing
-    newlines = 0
+    if not os.path.isfile(sidecar):
+        return None  # no sidecar, no hashing
+    digest, newlines = hashlib.sha256(), 0
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
-            if any(space in block for space in _NUMPY_ONLY_SPACES):
-                return None
-            if digest is not None:
-                digest.update(block)
-                newlines += block.count(b"\n")
-    if digest is not None:
-        data = _load_sidecar(sidecar, digest.digest(), rows=newlines - 1)
-        if data is not None:
-            return data
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            if fh.readline().rstrip("\r\n") != ",".join(CSV_FIELDS):
-                return None
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty body warns
-                # numpy 1.23-1.26 parse an integer field such as `0.7` through float,
-                # truncate it to 0 and only warn; newer numpy rejects it
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=_CSV_DTYPE, ndmin=1)
-        if table.size == 0:
-            return None
-        # contiguous copies, so that the row table is freed on return
-        return Dataset(np.column_stack((table["x1"], table["x2"])),
-                       np.ascontiguousarray(table["y_clean"]),
-                       np.ascontiguousarray(table["z_observed"]))
-    except (ValueError, DeprecationWarning):
-        # not UTF-8, a field numpy cannot parse, or a value Dataset rejects
-        return None
-
-
-def _load_sidecar(sidecar: str, sha256: bytes, rows: int) -> Dataset | None:
-    """The arrays save_dataset_csv stored for a CSV with this digest and row count, or None.
-
-    None for a sidecar of other bytes, and for any sidecar that cannot be read
-    back exactly as written: the CSV is then parsed as if it had none.
-    """
+            digest.update(block)
+            newlines += block.count(b"\n")
+    rows = newlines - 1
     try:
         # opened here: np.load leaks the handle of a file that is not a zip
         with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if npz["sha256"].tobytes() != sha256:
+            if npz["sha256"].tobytes() != digest.digest():
                 return None
             x, y, z = npz["x"], npz["y_clean"], npz["z_observed"]
             if not (rows >= 1 and x.shape == (rows, 2) and x.dtype == np.float64
@@ -467,9 +429,8 @@ def _load_sidecar(sidecar: str, sha256: bytes, rows: int) -> Dataset | None:
 
 
 def _parse_dataset_csv(reader) -> Dataset:
-    xs: list[tuple[float, float]] = []
-    ys: list[int] = []
-    zs: list[int] = []
+    # typed columns hold 32 bytes a row; a tuple and two ints per row would hold over 100
+    xs, ys, zs = array.array("d"), array.array("q"), array.array("q")
     header = next(reader, None)
     if header is None:
         raise DatasetFormatError("line 1: file is empty")
@@ -492,9 +453,12 @@ def _parse_dataset_csv(reader) -> Dataset:
             raise DatasetFormatError(f"line {lineno}: features must be finite")
         if y not in (0, 1) or z not in (0, 1):
             raise DatasetFormatError(f"line {lineno}: labels must be 0 or 1")
-        xs.append((x1, x2))
+        xs.append(x1)
+        xs.append(x2)
         ys.append(y)
         zs.append(z)
     if not xs:
         raise DatasetFormatError("line 2: no data rows")
-    return Dataset(np.array(xs, dtype=np.float64), np.array(ys), np.array(zs))
+    # views of the columns' own buffers, no copies
+    return Dataset(np.frombuffer(xs, np.float64).reshape(-1, 2),
+                   np.frombuffer(ys, np.int64), np.frombuffer(zs, np.int64))

@@ -501,7 +501,7 @@ MALFORMED_CSVS = [
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,0,0.7\n", 3),  # not truncated to 0
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,1.9,1\n", 3),  # nor to 1
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n#1.0,2.0,0,1\n", 3),  # '#' starts no comment
-    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n\x1c1.0,2.0,0,1\n", 3),  # numpy alone strips \x1c
+    ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n\x1c1.0,2.0,0,1\n", 3),  # float() does not strip \x1c
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,0,-1\n", 3),
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1e400,2.0,0,1\n", 3),
 ]
@@ -535,33 +535,40 @@ def test_csv_load_rejects_an_empty_body_without_a_warning(tmp_path, body):
             load_dataset_csv(path)
 
 
-def test_csv_load_falls_back_when_numpy_casts_a_label_through_float(tmp_path, monkeypatch):
-    # numpy 1.23-1.26 read an integer field `0.7` as 0 and only warn that this is deprecated
-    def loadtxt_of_numpy_1_2x(fh, **kwargs):
-        fh.read()
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                      DeprecationWarning, stacklevel=2)
-        return np.array([(1.0, 2.0, 0, 1), (1.0, 2.0, 0, 0)], dtype=kwargs["dtype"])
-
-    path = tmp_path / "float-label.csv"
-    path.write_text("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,0,0.7\n")
-    monkeypatch.setattr(synthdata.np, "loadtxt", loadtxt_of_numpy_1_2x)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # a caller's filter does not matter
-        assert synthdata._load_dataset_csv_fast(path) is None
-        with pytest.raises(DatasetFormatError, match="^line 3: invalid literal for int"):
-            load_dataset_csv(path)
-
-
-def test_csv_load_parses_crlf_blank_lines_and_padding_without_the_line_parser(tmp_path, monkeypatch):
+def test_csv_load_parses_crlf_blank_lines_and_padding(tmp_path):
     path = tmp_path / "padded.csv"
     path.write_bytes("x1,x2,y_clean,z_observed\r\n 0.5 ,\t-1e-3,1 ,\xa00\r\n\r\n2,3,+1,01\r\n"
                      .encode())
-    monkeypatch.setattr(synthdata, "_parse_dataset_csv", None)  # calling it would raise
     data = load_dataset_csv(path)
     assert data.x.tolist() == [[0.5, -1e-3], [2.0, 3.0]]
     assert data.y_clean.tolist() == [1, 1] and data.z_observed.tolist() == [0, 1]
     assert all(a.flags.c_contiguous for a in (data.x, data.y_clean, data.z_observed))
+
+
+def test_csv_load_without_a_sidecar_hashes_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n")
+
+    def no_hashing():
+        raise AssertionError("a CSV with no sidecar was hashed")
+
+    monkeypatch.setattr(synthdata.hashlib, "sha256", no_hashing)
+    assert load_dataset_csv(path).x.tolist() == [[1.0, 2.0]]
+
+
+def test_csv_parse_holds_the_dataset_once(tmp_path, traced_peak):
+    # a quoted x1, which only a line parser reads; rows held as tuples and ints,
+    # and the CSV as one str, peaked at 10.1x the file's bytes
+    path = tmp_path / "data.csv"
+    data = flip_labels(sample_dataset(make_random_problem(45, 2.5), 50_000, 46), NoiseParams(0.2, 0.1), 47)
+    save_dataset_csv(data, path)
+    os.remove(f"{path}.npz")
+    header, first, rest = path.read_text().split("\n", 2)
+    x1, others = first.split(",", 1)
+    path.write_text(f'{header}\n"{x1}",{others}\n{rest}')
+    loaded, peak = traced_peak(lambda: load_dataset_csv(path))
+    assert_same_dataset(loaded, data)
+    assert peak <= 3.0 * path.stat().st_size
 
 
 @pytest.mark.parametrize("content,expected", [
@@ -570,7 +577,7 @@ def test_csv_load_parses_crlf_blank_lines_and_padding_without_the_line_parser(tm
     (b"x1,x2,y_clean,z_observed\n1,2,0,1\n1,2,0,\xe9\n", "line 3: not UTF-8 text"),
 ])
 def test_csv_load_reads_a_fifo_once(tmp_path, content, expected):
-    # a pipe cannot be read twice: a fast parse that failed could not hand it to the line parser
+    # a pipe cannot be read twice: the loader reads it once, straight into the line parser
     fifo = tmp_path / "data.csv"
     os.mkfifo(fifo)
     outcome = {}
@@ -614,8 +621,7 @@ def test_csv_sidecar_loads_the_bytes_and_dtypes_of_the_csv_parse(tmp_path, monke
     path = tmp_path / "data.csv"
     data = awkward_dataset(n)
     save_with_sidecar(data, path)
-    with monkeypatch.context() as m:  # neither parser may run
-        m.setattr(synthdata.np, "loadtxt", None)
+    with monkeypatch.context() as m:  # the parser may not run
         m.setattr(synthdata, "_parse_dataset_csv", None)
         from_sidecar = load_dataset_csv(path)
     assert_same_dataset(from_sidecar, parse_line_by_line(path))
@@ -654,8 +660,7 @@ def test_a_csv_saved_through_a_symlink_keeps_its_sidecar_next_to_the_real_file(t
     save_with_sidecar(data, link)
     assert link.is_symlink()
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv", "real.csv.npz"]
-    monkeypatch.setattr(synthdata.np, "loadtxt", None)  # the sidecar serves both names
-    monkeypatch.setattr(synthdata, "_parse_dataset_csv", None)
+    monkeypatch.setattr(synthdata, "_parse_dataset_csv", None)  # the sidecar serves both names
     for name in (link, real):
         assert_same_dataset(load_dataset_csv(name), data)
 
@@ -747,7 +752,7 @@ def assert_same_dataset(got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# float() and int() strip these around a field, and so does numpy
+# float() and int() strip these around a field
 PADDING = st.one_of(st.just(""), st.sampled_from([" ", "\t", "\x0b", "\x0c", "\xa0", "\u3000"]))
 FEATURE = st.floats(allow_nan=False, allow_infinity=False).flatmap(
     lambda v: st.sampled_from([repr(v), f"{v:.17g}", f"{v:e}", f"{v:.3f}"]))
@@ -763,7 +768,7 @@ def _mutate(kind, fields, i, j):
         row[j] = row[j].translate(FULL_WIDTH)
     elif kind == "float-label":
         row[2 + j % 2] = ("1.0", "0.7", "1.9", "1e0")[j]
-    elif kind == "control-space":  # numpy strips it, float() and int() do not
+    elif kind == "control-space":  # float() and int() do not strip it
         row[j] = "\x1c" + row[j]
     elif kind == "quoted":
         row[j] = f'"{row[j]}"'
@@ -795,22 +800,19 @@ def dataset_csv_texts(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=dataset_csv_texts())
-def test_csv_fast_parse_agrees_with_the_line_parser(tmp_path, text):
+def test_csv_load_past_a_stale_sidecar_agrees_with_the_line_parser(tmp_path, text):
     path = tmp_path / "generated.csv"
-    path.write_bytes(text.encode("utf-8"))
+    save_with_sidecar(awkward_dataset(2), path)
+    path.write_bytes(text.encode("utf-8"))  # the sidecar now holds another file's digest
     try:
         expected = parse_line_by_line(path)
     except DatasetFormatError as exc:
         assert re.match(r"line \d+: ", str(exc))
-        assert synthdata._load_dataset_csv_fast(path) is None
         with pytest.raises(DatasetFormatError) as raised:
             load_dataset_csv(path)
         assert str(raised.value) == str(exc)
         return
     assert_same_dataset(load_dataset_csv(path), expected)
-    fast = synthdata._load_dataset_csv_fast(path)
-    if fast is not None:
-        assert_same_dataset(fast, expected)
 
 
 def test_dataset_validation():
