@@ -25,16 +25,15 @@ rows per write.  The loader has one parser, line by line into typed columns,
 which names the line of every error: labels must be the integers 0 and 1,
 and a `#` line is a data error, not a comment.
 
-The CSV is the format; its sidecar `<csv>.npz` is a cache keyed by the
-CSV's content.  The writer hashes the bytes it writes and, for a regular
-file named by its path (or stdout's file), then stores the sha256 and the
-three arrays in the sidecar.  It writes the zip members itself, each an
-.npy header and then the array's own buffer: the layout np.savez writes,
-without the whole-array bytes copy savez makes of each array.  The
-loader uses the sidecar only when the CSV's bytes still hash to that digest
-and the arrays have the CSV's row count and the writer's dtypes; any other
-sidecar, or none, means the CSV is parsed.  Editing the CSV therefore
-bypasses the sidecar, and deleting it is always safe.
+The CSV is the format; its sidecar `<csv>.bin` is a cache keyed by the
+CSV's content.  For a regular file named by its path (or stdout's file), the
+writer stores the sha256 of the CSV's bytes and then the three columns' bytes,
+followed by the columns themselves: x as little-endian float64 (n, 2), then
+y_clean and z_observed as little-endian int64 (n,).  The loader uses the
+sidecar only when its size fits the CSV's row count and the CSV's bytes and
+the stored columns still hash to that digest; any other sidecar, or none,
+means the CSV is parsed.  Editing the CSV therefore bypasses the sidecar, and
+deleting it is always safe.
 """
 
 import array
@@ -43,7 +42,6 @@ import hashlib
 import io
 import math
 import os
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,9 +326,9 @@ def bayes_accuracy(problem: ProblemInstance, data: Dataset) -> float:
 def save_dataset_csv(data: Dataset, path) -> str | None:
     """Write x1,x2,y_clean,z_observed rows; floats keep 17 significant digits.
 
-    A regular file also gets its sidecar, written after the CSV is complete;
-    returns the sidecar's path, or None for a FIFO, a device or a descriptor
-    other than stdout (``/dev/fd/3``).
+    A regular file also gets its sidecar, written after the CSV is complete
+    from the columns' own buffers; returns the sidecar's path, or None for a
+    FIFO, a device or a descriptor other than stdout (``/dev/fd/3``).
     """
     digest = hashlib.sha256()
     with atomic_open(path, binary=True) as fh:
@@ -341,15 +339,14 @@ def save_dataset_csv(data: Dataset, path) -> str | None:
     if not os.path.isfile(path) or (names_descriptor(path) and not is_stdout(path)):
         return None
     sidecar = _sidecar_path(path)
-    arrays = {"sha256": np.frombuffer(digest.digest(), np.uint8), "x": data.x,
-              "y_clean": data.y_clean, "z_observed": data.z_observed}
-    with atomic_open(sidecar, binary=True) as fh, zipfile.ZipFile(fh, "w") as npz:
-        for name, array in arrays.items():
-            array = np.ascontiguousarray(array)
-            header = np.lib.format.header_data_from_array_1_0(array)
-            with npz.open(name + ".npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(member, header)
-                member.write(memoryview(array).cast("B"))
+    columns = [memoryview(np.ascontiguousarray(column, dtype)).cast("B") for column, dtype in
+               ((data.x, "<f8"), (data.y_clean, "<i8"), (data.z_observed, "<i8"))]
+    for column in columns:
+        digest.update(column)
+    with atomic_open(sidecar, binary=True) as fh:
+        fh.write(digest.digest())
+        for column in columns:
+            fh.write(column)
     return sidecar
 
 
@@ -365,8 +362,8 @@ def _csv_chunks(data: Dataset):
 
 
 def _sidecar_path(path) -> str:
-    """`<csv>.npz` next to the file that holds the CSV's bytes, also through a symlink."""
-    return os.path.realpath(path) + ".npz"
+    """`<csv>.bin` next to the file that holds the CSV's bytes, also through a symlink."""
+    return os.path.realpath(path) + ".bin"
 
 
 def load_dataset_csv(path) -> Dataset:
@@ -394,12 +391,12 @@ def load_dataset_csv(path) -> Dataset:
 
 
 def _load_sidecar(path) -> Dataset | None:
-    """The arrays save_dataset_csv stored for this CSV's exact bytes and row count, or None.
+    """The columns save_dataset_csv stored for this CSV's exact bytes and row count, or None.
 
     The CSV is hashed, and its newlines counted, a block at a time and only
-    when a sidecar exists.  None for a sidecar of other bytes, and for any
-    sidecar that cannot be read back exactly as written: the CSV is then
-    parsed as if it had none.
+    when a sidecar exists.  None for a sidecar whose size does not fit the
+    row count, whose digest is not that of the CSV and the columns read back,
+    or whose columns Dataset rejects: the CSV is then parsed as if it had none.
     """
     sidecar = _sidecar_path(path)
     if not os.path.isfile(sidecar):
@@ -411,20 +408,16 @@ def _load_sidecar(path) -> Dataset | None:
             newlines += block.count(b"\n")
     rows = newlines - 1
     try:
-        # opened here: np.load leaks the handle of a file that is not a zip
-        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if npz["sha256"].tobytes() != digest.digest():
+        with open(sidecar, "rb") as fh:
+            if rows < 1 or os.fstat(fh.fileno()).st_size != 32 + 32 * rows:
                 return None
-            x, y, z = npz["x"], npz["y_clean"], npz["z_observed"]
-            if not (rows >= 1 and x.shape == (rows, 2) and x.dtype == np.float64
-                    and all(col.shape == (rows,) and col.dtype == np.int64 for col in (y, z))
-                    and all(col.flags.c_contiguous for col in (x, y, z))):
-                return None
-            return Dataset(x, y, z)
-    except Exception:
-        # the sidecar is only a cache, and a damaged one raises from an open set:
-        # OSError, BadZipFile, KeyError, EOFError, ValueError, tokenize.TokenError,
-        # NotImplementedError, MemoryError for a corrupt shape, ...
+            stored = fh.read(32)
+            x = np.fromfile(fh, "<f8", 2 * rows).reshape(rows, 2)
+            y, z = np.fromfile(fh, "<i8", 2 * rows).reshape(2, rows)
+        for column in (x, y, z):
+            digest.update(memoryview(column).cast("B"))
+        return Dataset(x, y, z) if digest.digest() == stored else None
+    except (OSError, ValueError):  # the sidecar is only a cache
         return None
 
 

@@ -26,7 +26,7 @@ class DiskFullAfter:
         self.writes -= 1
         return self.fh.write(text)
 
-    def __getattr__(self, name):  # tell, seek, flush: the rest of a file, for zipfile
+    def __getattr__(self, name):  # close, flush: the rest of a file
         return getattr(self.fh, name)
 
     def __enter__(self):
@@ -82,7 +82,7 @@ def test_a_dataset_csv_cut_after_its_first_chunk_keeps_the_old_dataset(tmp_path,
         synthdata.save_dataset_csv(dataset(3000, 2), path)
     assert path.read_bytes() == old_bytes
     assert len(synthdata.load_dataset_csv(path)) == 3000
-    assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.npz"]
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.bin"]
     with pytest.raises(OSError, match="No space left"):
         synthdata.save_dataset_csv(old, tmp_path / "new.csv")
     assert not (tmp_path / "new.csv").exists()
@@ -95,13 +95,13 @@ def test_a_disk_full_sidecar_write_leaves_the_new_csv_loadable(tmp_path, monkeyp
 
     def sidecar_disk_full(name, *args, **kwargs):
         fh = open(name, *args, **kwargs)
-        return DiskFullAfter(fh, writes=0) if ".npz." in os.fspath(name) else fh
+        return DiskFullAfter(fh, writes=0) if ".bin." in os.fspath(name) else fh
 
     monkeypatch.setattr(atomic, "open", sidecar_disk_full, raising=False)
     with pytest.raises(OSError, match="No space left"):
         synthdata.save_dataset_csv(new, path)
     monkeypatch.undo()
-    assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.npz"]  # the old, stale sidecar
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.bin"]  # the old, stale sidecar
     loaded = synthdata.load_dataset_csv(path)
     for name in ("x", "y_clean", "z_observed"):
         assert getattr(loaded, name).tobytes() == getattr(new, name).tobytes()
@@ -158,7 +158,7 @@ def test_every_output_writer_keeps_the_old_file_when_a_write_fails(tmp_path, mon
     with pytest.raises(OSError, match="No space left"):
         WRITERS[name](path)
     assert path.read_text() == "old\n"
-    assert sorted(os.listdir(tmp_path)) == (["out", "out.npz"] if name == "dataset" else ["out"])
+    assert sorted(os.listdir(tmp_path)) == (["out", "out.bin"] if name == "dataset" else ["out"])
 
 
 def test_a_fifo_is_written_in_place(tmp_path):

@@ -127,7 +127,7 @@ def test_gen_writes_a_loadable_csv_and_manifest(capsys, tmp_path):
     assert manifest["tool"] == "labelnoise"
     assert manifest["command"] == "gen"
     assert manifest["config"]["gamma1"] == 0.3
-    assert manifest["outputs"] == [str(out_path), f"{os.path.realpath(out_path)}.npz"]
+    assert manifest["outputs"] == [str(out_path), f"{os.path.realpath(out_path)}.bin"]
 
 
 def test_gen_into_a_fifo_writes_no_sidecar(capsys, tmp_path):
@@ -143,8 +143,8 @@ def test_gen_into_a_fifo_writes_no_sidecar(capsys, tmp_path):
     assert main(["gen", "--out", str(regular), "--n", "50", "--seed", "9"]) == 0
     assert got == [regular.read_bytes()]
     # only a regular file gets a manifest next to it, so the FIFO gets none
-    assert sorted(os.listdir(tmp_path)) == ["data.csv", "regular.csv",
-                                            "regular.csv.manifest.json", "regular.csv.npz"]
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "regular.csv", "regular.csv.bin",
+                                            "regular.csv.manifest.json"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/fd/1"), reason="no /dev/fd")
@@ -168,11 +168,11 @@ def test_an_output_to_stdout_is_all_that_stdout_carries(tmp_path, command, stdou
     assert (proc.stdout if stdout == "pipe" else out.read_bytes()) == regular.read_bytes()
     assert " to /dev/fd/1\n" in proc.stderr.decode() and "manifest" not in proc.stderr.decode()
     # a regular stdout is written in place, so a gen sidecar lands next to it, keyed by its bytes
-    made = {"stdout.out"} | ({"stdout.out.npz"} if stdout == "file" and command == "gen" else set())
+    made = {"stdout.out"} | ({"stdout.out.bin"} if stdout == "file" and command == "gen" else set())
     assert set(os.listdir(tmp_path)) - before == made
-    if "stdout.out.npz" in made:
-        with np.load(tmp_path / "stdout.out.npz") as npz:
-            assert npz["sha256"].tobytes() == hashlib.sha256(out.read_bytes()).digest()
+    if "stdout.out.bin" in made:
+        sidecar = (tmp_path / "stdout.out.bin").read_bytes()
+        assert sidecar[:32] == hashlib.sha256(out.read_bytes() + sidecar[32:]).digest()
 
 
 @pytest.mark.parametrize("name", [
@@ -183,7 +183,7 @@ def test_an_output_to_stdout_is_all_that_stdout_carries(tmp_path, command, stdou
 @pytest.mark.parametrize("command", ["gen", "train"])
 def test_an_output_to_another_descriptor_is_written_in_place(tmp_path, command, name):
     # `--out /dev/fd/N N>file`: replacing the file would leave the descriptor on an
-    # unlinked copy, a sidecar named `file (deleted).npz` and no manifest path to write
+    # unlinked copy, a sidecar named `file (deleted).bin` and no manifest path to write
     data = tmp_path / "d.csv"
     assert main(["gen", "--out", str(data), "--n", "40", "--seed", "3"]) == 0
     argv = (["gen", "--n", "40", "--seed", "3"] if command == "gen"
@@ -217,7 +217,7 @@ def test_train_and_eval_give_the_same_bytes_without_the_sidecar(capsys, tmp_path
         return model.read_bytes(), out
 
     from_sidecar = train_and_eval(tmp_path / "with.txt")
-    os.remove(f"{os.path.realpath(data)}.npz")
+    os.remove(f"{os.path.realpath(data)}.bin")
     assert train_and_eval(tmp_path / "without.txt") == from_sidecar
 
 
