@@ -128,8 +128,8 @@ def cmd_gen(args) -> int:
     outputs = [str(out)] if sidecar is None else [str(out), sidecar]
     manifest = _output_manifest(out, "gen", args, outputs, started)
     print(f"wrote {len(data)} samples to {out}", file=log)
-    print(f"clean class-1 fraction    {float((data.y_clean == 1).mean())!r}", file=log)
-    print(f"observed class-1 fraction {float((data.z_observed == 1).mean())!r}", file=log)
+    print(f"clean class-1 fraction    {float(data.y_clean.mean())!r}", file=log)
+    print(f"observed class-1 fraction {float(data.z_observed.mean())!r}", file=log)
     if manifest is not None:
         print(f"manifest {manifest}", file=log)
     return 0
@@ -180,9 +180,8 @@ def cmd_eval(args) -> int:
     threshold = _resolve_threshold(args)
     params = mlp.load_model(args.model)
     data = synthdata.load_dataset_csv(args.data)
-    positive = (data.y_clean if args.labels == "clean" else data.z_observed) == 1
-    # the score-space decision of mlp.classify and the grids, kept as a bool column
-    pred = mlp.score(params, data.x) >= mlp.score_cut(threshold)
+    positive = data.y_clean if args.labels == "clean" else data.z_observed
+    pred = mlp.classify(params, data.x, threshold)
     tp = int((pred & positive).sum())
     fp = int(pred.sum()) - tp
     fn = int(positive.sum()) - tp

@@ -183,7 +183,7 @@ def _train_stack(cfg: GridConfig, problems: dict, stack: list[tuple]) -> list[ml
     """Trained parameters of one stack of (run, cell) tasks that share a train size."""
     size = stack[0][1][3]
     # filled cell by cell, so that only one Dataset of the stack is alive at a time
-    x, targets, seeds = np.empty((len(stack), size, 2)), np.empty((len(stack), size)), []
+    x, targets, seeds = np.empty((len(stack), size, 2)), np.empty((len(stack), size), bool), []
     for k, (run, (_, noise, _, _, cell_seed)) in enumerate(stack):
         clean = synthdata.sample_dataset(problems[run], size, derive_seed(cell_seed, "train"))
         noisy = synthdata.flip_labels(clean, noise, derive_seed(cell_seed, "flip"))

@@ -21,11 +21,12 @@ Each batched operation does for every network what it does for one alone,
 so a stack gives each network the bits it would get alone; ``train`` is
 the stack of one.  A stack keeps its shape for the whole call, so its views
 and buffers are made once per call.  Each epoch, every network draws its
-own shuffle into one (R, n) row order; each window of batches (see below)
-then gathers its rows of every network from the stacked inputs into one
-window-sized buffer, so a call holds no shuffled copy of a whole dataset.
+own shuffle into one (R, n) row order, int32 where R·n fits; each window of
+batches (see below) then gathers its rows of every network from the stacked
+inputs into one window-sized buffer, so a call holds no shuffled copy of a
+whole dataset.
 The targets, checked to be 0/1, are gathered in their own dtype (a
-Dataset's int64 labels) and cast to float64 a window at a time, so a call
+Dataset's bool labels) and cast to float64 a window at a time, so a call
 holds no float64 copy of the target column either; the row order is
 refilled in place each epoch.
 MlpParams and Gradients keep one array per layer.  ``_blocks`` is the model
@@ -43,16 +44,16 @@ loss temporaries made from it reuse heap pages; a whole epoch's scores
 (200 000 rows for a large dataset) would cost fresh pages and raise peak
 memory.
 
-``score`` (and with it ``classify``) runs a batch through the network
-``block_rows`` rows at a time and fills one preallocated score vector.  A
-whole 20 000-row batch would make every layer output a 2.4 MB temporary, and
-glibc's malloc maps each one fresh and unmaps it on free, so that a call
-paid over a thousand page faults; a block's temporaries stay under malloc's
-mmap threshold and reuse heap pages.  The layer outputs, and the biases
-tiled to a block's rows, are made once per call.  A row's score depends
-only on that row, and for the default network the blocks give the bits of
-one whole-batch pass.  The grids' lockstep stacks take their size cap from
-the same rule.
+``score`` and ``classify`` run a batch through the network ``block_rows``
+rows at a time (``_score_blocks``) and fill one preallocated column: the
+scores, or the bool decisions.  A whole 20 000-row batch would make every
+layer output a 2.4 MB temporary, and glibc's malloc maps each one fresh and
+unmaps it on free, so that a call paid over a thousand page faults; a block's
+temporaries stay under malloc's mmap threshold and reuse heap pages.  The
+layer outputs, and the biases tiled to a block's rows, are made once per
+call.  A row's score depends only on that row, and for the default network
+the blocks give the bits of one whole-batch pass.  The grids' lockstep stacks
+take their size cap from the same rule.
 """
 
 import math
@@ -293,13 +294,23 @@ def score(params: MlpParams, x):
     """Raw pre-sigmoid output; one point (input_dim,) -> float, batch (m, input_dim) -> (m,).
 
     A batch is scored ``block_rows`` rows at a time into one output vector.
-    The layer outputs and the biases, tiled to a block's rows, are made once
-    per call: a (width,) bias added to a block runs one short inner loop per
-    row, a tiled one a single contiguous loop.
     """
     x, single = _as_batch(params.arch.input_dim, x)
+    s = np.empty(x.shape[0])
+    for rows, block in _score_blocks(params, x):
+        s[rows] = block
+    return float(s[0]) if single else s
+
+
+def _score_blocks(params: MlpParams, x: np.ndarray):
+    """(rows, scores) of each ``block_rows`` block of a checked batch, in row order.
+
+    The scores are a view of a buffer the next block overwrites.  The layer
+    outputs and the biases, tiled to a block's rows, are made once per call:
+    a (width,) bias added to a block runs one short inner loop per row, a
+    tiled one a single contiguous loop.
+    """
     m = x.shape[0]
-    s = np.empty(m)
     # a last block of one row would take BLAS's vector kernel, whose bits
     # differ from its matrix kernel's: it joins the block before it
     rows = block_rows(params.arch)
@@ -309,9 +320,9 @@ def score(params: MlpParams, x):
     outs = [np.empty((most, b.size)) for b in params.biases]
     for start, stop in zip(starts, [*starts[1:], m]):
         k = stop - start
-        _, s[start:stop] = _forward_stack(params.weights, [b[:k] for b in biases], x[start:stop],
-                                          [out[:k] for out in outs])
-    return float(s[0]) if single else s
+        _, s = _forward_stack(params.weights, [b[:k] for b in biases], x[start:stop],
+                              [out[:k] for out in outs])
+        yield slice(start, stop), s
 
 
 def _softplus(s: np.ndarray) -> np.ndarray:
@@ -477,7 +488,8 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     decay = np.empty((stack, n_weights)) if cfg.weight_decay else None
 
     x_rows, t_rows = x.reshape(-1, arch.input_dim), t.reshape(-1)  # network r owns rows r*n ..
-    order = np.empty((stack, n), dtype=np.intp)  # this epoch's rows of each network, in order
+    # this epoch's rows of each network, in order; shuffle draws the same permutation for either dtype
+    order = np.empty((stack, n), dtype=np.int32 if stack * n <= np.iinfo(np.int32).max else np.intp)
     full = n - n % cfg.batch_size
     spans = [(rows, starts, _step_buffers(arch, stack, rows, len(starts)))  # batch rows, starts, buffers
              for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)),
@@ -494,7 +506,7 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
         for r, (row, shuffle) in enumerate(zip(order, shuffles)):
             row.fill(1)  # r*n, r*n + 1, ...: ones summed in place, with no arange temporary
             row[0] = r * n
-            np.cumsum(row, out=row)
+            np.cumsum(row, dtype=row.dtype, out=row)
             shuffle.shuffle(row)
         running = np.zeros(stack)
         for rows, starts, step in spans:
@@ -555,17 +567,19 @@ def score_cut(threshold: float) -> float:
 
 
 def classify(params: MlpParams, x, threshold: float = 0.5):
-    """Class decision at a probability threshold; ties go to class 1.
+    """Class decision at a probability threshold, True for class 1; ties go to class 1.
 
     The threshold is converted once to score space (``score_cut``), and the
     decision is the single comparison score >= logit(threshold) — for the
-    default 0.5 that is exactly score >= 0.
+    default 0.5 that is exactly score >= 0.  One point gives a bool, a batch
+    a bool column filled a block of scores at a time.
     """
     cut = score_cut(threshold)
-    s = score(params, x)
-    if isinstance(s, float):
-        return int(s >= cut)
-    return (s >= cut).astype(np.int64)
+    x, single = _as_batch(params.arch.input_dim, x)
+    decision = np.empty(x.shape[0], dtype=bool)
+    for rows, block in _score_blocks(params, x):
+        np.greater_equal(block, cut, out=decision[rows])
+    return bool(decision[0]) if single else decision
 
 
 def _blocks(sizes: tuple[int, ...]):

@@ -19,6 +19,7 @@ streams come from seeding.make_rng.  Sampling and flipping draw a block of
 _BLOCK_ROWS rows at a time, in the stream order of whole-array draws and with
 their bits, so that a dataset is held once plus block-sized temporaries.  A
 freshly sampled dataset's observed labels are its clean label array itself.
+Labels, clean and observed, are bool columns: one byte a row.
 
 Datasets round-trip through a CSV file.  The writer formats one block of
 rows per write.  The loader has one parser, line by line into typed columns,
@@ -29,11 +30,11 @@ The CSV is the format; its sidecar `<csv>.bin` is a cache keyed by the
 CSV's content.  For a regular file named by its path (or stdout's file), the
 writer stores the sha256 of the CSV's bytes and then the three columns' bytes,
 followed by the columns themselves: x as little-endian float64 (n, 2), then
-y_clean and z_observed as little-endian int64 (n,).  The loader uses the
-sidecar only when its size fits the CSV's row count and the CSV's bytes and
-the stored columns still hash to that digest; any other sidecar, or none,
-means the CSV is parsed.  Editing the CSV therefore bypasses the sidecar, and
-deleting it is always safe.
+y_clean and z_observed as one byte of 0 or 1 a row, 32 + 18n bytes in all.
+The loader uses the sidecar only when its size fits the CSV's row count, the
+CSV's bytes and the stored columns still hash to that digest and every label
+byte is 0 or 1; any other sidecar, or none, means the CSV is parsed.  Editing
+the CSV therefore bypasses the sidecar, and deleting it is always safe.
 """
 
 import array
@@ -124,8 +125,8 @@ class Dataset:
     """
 
     x: np.ndarray           # (n, 2) float64
-    y_clean: np.ndarray     # (n,) int64, values in {0, 1}
-    z_observed: np.ndarray  # (n,) int64, values in {0, 1}
+    y_clean: np.ndarray     # (n,) bool
+    z_observed: np.ndarray  # (n,) bool
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -138,13 +139,13 @@ class Dataset:
             raise ValueError("label columns must match the number of feature rows")
         if not np.isfinite(x).all():
             raise ValueError("features must be finite")
-        # checked before the int64 cast, which would truncate a 0.5 to 0
+        # checked before the bool cast, which would make a 0.5, a 2 or a -1 True
         for name, col in (("y_clean", y), ("z_observed", z)):
             if not ((col == 0) | (col == 1)).all():
                 raise ValueError(f"{name} must contain only 0/1 values")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y_clean", y.astype(np.int64, copy=False))
-        object.__setattr__(self, "z_observed", z.astype(np.int64, copy=False))
+        object.__setattr__(self, "y_clean", y.astype(bool, copy=False))
+        object.__setattr__(self, "z_observed", z.astype(bool, copy=False))
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -268,7 +269,7 @@ def sample_dataset(problem: ProblemInstance, n: int, seed: int) -> Dataset:
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
     rng = make_rng(seed, "sample")
-    y = np.empty(n, dtype=np.int64)
+    y = np.empty(n, dtype=bool)
     for block in _row_blocks(n):
         y[block] = rng.random(block.stop - block.start) < problem.clean_priors.p1
     x = np.empty((n, 2))
@@ -296,19 +297,19 @@ def flip_labels(data: Dataset, noise: NoiseParams, seed: int) -> Dataset:
     only the observed column changes.
     """
     rng = make_rng(seed, "flip")
-    z = np.empty(len(data), dtype=np.int64)
+    z = np.empty(len(data), dtype=bool)
     for block in _row_blocks(len(data)):
         z[block] = observe(data.y_clean[block], rng.random(block.stop - block.start), noise)
     return Dataset(data.x, data.y_clean, z)
 
 
 def observe(y, u, noise: NoiseParams) -> np.ndarray:
-    """Observed 0/1 labels of clean labels y, given one uniform draw u per label.
+    """Observed labels, as bool, of 0/1 clean labels y, given one uniform draw u per label.
 
     A class-1 label flips to 0 where u < gamma1, a class-0 label flips to
     1 where u < gamma0: the one flip rule of the package.
     """
-    return np.where(y == 1, u >= noise.gamma1, u < noise.gamma0).astype(np.int64)
+    return np.where(y == 1, u >= noise.gamma1, u < noise.gamma0)
 
 
 def bayes_accuracy(problem: ProblemInstance, data: Dataset) -> float:
@@ -320,7 +321,7 @@ def bayes_accuracy(problem: ProblemInstance, data: Dataset) -> float:
     if len(data) == 0:
         raise ValueError("cannot score an empty dataset")
     pred = np.asarray(clean_posterior(problem, data.x)) >= 0.5
-    return float((pred == (data.y_clean == 1)).mean())
+    return float((pred == data.y_clean).mean())
 
 
 def save_dataset_csv(data: Dataset, path) -> str | None:
@@ -340,7 +341,7 @@ def save_dataset_csv(data: Dataset, path) -> str | None:
         return None
     sidecar = _sidecar_path(path)
     columns = [memoryview(np.ascontiguousarray(column, dtype)).cast("B") for column, dtype in
-               ((data.x, "<f8"), (data.y_clean, "<i8"), (data.z_observed, "<i8"))]
+               ((data.x, "<f8"), (data.y_clean, bool), (data.z_observed, bool))]
     for column in columns:
         digest.update(column)
     with atomic_open(sidecar, binary=True) as fh:
@@ -354,7 +355,9 @@ def _csv_chunks(data: Dataset):
     """The CSV text: the header, then one string per _BLOCK_ROWS rows."""
     yield ",".join(CSV_FIELDS) + "\n"
     for rows in _row_blocks(len(data)):
-        columns = (data.x[rows, 0], data.x[rows, 1], data.y_clean[rows], data.z_observed[rows])
+        # labels as the ints 0 and 1 of their bytes: "%d" formats a bool about twice as slowly
+        columns = (data.x[rows, 0], data.x[rows, 1],
+                   data.y_clean[rows].view(np.uint8), data.z_observed[rows].view(np.uint8))
         values = [None] * (len(CSV_FIELDS) * len(columns[0]))
         for j, column in enumerate(columns):
             values[j::len(CSV_FIELDS)] = column.tolist()
@@ -393,37 +396,40 @@ def load_dataset_csv(path) -> Dataset:
 def _load_sidecar(path) -> Dataset | None:
     """The columns save_dataset_csv stored for this CSV's exact bytes and row count, or None.
 
-    The CSV is hashed, and its newlines counted, a block at a time and only
-    when a sidecar exists.  None for a sidecar whose size does not fit the
-    row count, whose digest is not that of the CSV and the columns read back,
-    or whose columns Dataset rejects: the CSV is then parsed as if it had none.
+    The CSV is hashed, and its newlines counted, through one reused 64 KiB
+    buffer and only when a sidecar exists.  None for a sidecar whose size does
+    not fit the row count, whose digest is not that of the CSV and the columns
+    read back, whose label bytes are not all 0 or 1, or whose columns Dataset
+    rejects: the CSV is then parsed as if it had none.
     """
     sidecar = _sidecar_path(path)
     if not os.path.isfile(sidecar):
         return None  # no sidecar, no hashing
-    digest, newlines = hashlib.sha256(), 0
+    digest, newlines, buffer = hashlib.sha256(), 0, bytearray(1 << 16)
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-            newlines += block.count(b"\n")
+        while size := fh.readinto(buffer):
+            digest.update(memoryview(buffer)[:size])
+            newlines += buffer.count(b"\n", 0, size)
     rows = newlines - 1
     try:
         with open(sidecar, "rb") as fh:
-            if rows < 1 or os.fstat(fh.fileno()).st_size != 32 + 32 * rows:
+            if rows < 1 or os.fstat(fh.fileno()).st_size != 32 + 18 * rows:
                 return None
             stored = fh.read(32)
             x = np.fromfile(fh, "<f8", 2 * rows).reshape(rows, 2)
-            y, z = np.fromfile(fh, "<i8", 2 * rows).reshape(2, rows)
-        for column in (x, y, z):
+            labels = np.fromfile(fh, np.uint8, 2 * rows)
+        for column in (x, labels):
             digest.update(memoryview(column).cast("B"))
-        return Dataset(x, y, z) if digest.digest() == stored else None
+        if digest.digest() != stored or (labels > 1).any():  # a bool byte is 0 or 1
+            return None
+        return Dataset(x, *labels.view(bool).reshape(2, rows))
     except (OSError, ValueError):  # the sidecar is only a cache
         return None
 
 
 def _parse_dataset_csv(reader) -> Dataset:
-    # typed columns hold 32 bytes a row; a tuple and two ints per row would hold over 100
-    xs, ys, zs = array.array("d"), array.array("q"), array.array("q")
+    # typed columns hold 18 bytes a row; a tuple and two ints per row would hold over 100
+    xs, ys, zs = array.array("d"), array.array("B"), array.array("B")
     header = next(reader, None)
     if header is None:
         raise DatasetFormatError("line 1: file is empty")
@@ -452,6 +458,6 @@ def _parse_dataset_csv(reader) -> Dataset:
         zs.append(z)
     if not xs:
         raise DatasetFormatError("line 2: no data rows")
-    # views of the columns' own buffers, no copies
+    # views of the columns' own buffers, no copies; the label bytes were checked to be 0 or 1
     return Dataset(np.frombuffer(xs, np.float64).reshape(-1, 2),
-                   np.frombuffer(ys, np.int64), np.frombuffer(zs, np.int64))
+                   np.frombuffer(ys, bool), np.frombuffer(zs, bool))

@@ -350,6 +350,7 @@ def test_observe_flips_each_class_below_its_rate():
     u = np.array([0.0, 0.29, 0.3, 0.0, 0.09, 0.1])
     assert observe(y, u, NoiseParams(0.3, 0.1)).tolist() == [0, 0, 1, 1, 1, 0]
     assert observe(y.astype(bool), u, NoiseParams(0.3, 0.1)).tolist() == [0, 0, 1, 1, 1, 0]
+    assert observe(y, u, NoiseParams(0.3, 0.1)).dtype == bool
 
 
 def test_flip_labels_empirical_rates():
@@ -372,7 +373,7 @@ def test_flip_labels_empirical_rates():
 def reference_sample_dataset(problem, n, seed):
     """The whole-array sampler that sample_dataset must match bit for bit."""
     rng = make_rng(seed, "sample")
-    y = (rng.random(n) < problem.clean_priors.p1).astype(np.int64)
+    y = rng.random(n) < problem.clean_priors.p1
     x = np.empty((n, 2))
     for label, model in ((1, problem.model1), (0, problem.model0)):
         idx = np.flatnonzero(y == label)
@@ -413,10 +414,11 @@ def test_sample_dataset_holds_the_dataset_once(traced_peak):
 
 
 def test_flip_labels_holds_one_new_label_column(traced_peak):
-    # the whole-array flip held a uniform per row next to the new column: 2.38x
+    # the whole-array flip held a uniform per row next to an int64 column: 1.19 x.nbytes;
+    # blocks of uniforms and an int64 column, 0.69; a bool column, 0.25
     data = sample_dataset(make_random_problem(35, 2.5), 200_000, 36)
     flipped, peak = traced_peak(lambda: flip_labels(data, NoiseParams(0.3, 0.1), 37))
-    assert peak <= 1.8 * flipped.z_observed.nbytes
+    assert peak <= 0.35 * data.x.nbytes
 
 
 # ------------------------------------------------------------ bayes accuracy
@@ -629,9 +631,13 @@ def test_csv_sidecar_loads_the_bytes_and_dtypes_of_the_csv_parse(tmp_path, monke
                                                 from_sidecar.z_observed))
 
 
-def sidecar_bytes(csv_bytes, x, y, z):
-    """The sidecar layout: sha256 of the CSV's and the columns' bytes, then the columns."""
-    columns = b"".join(np.asarray(col, dtype).tobytes() for col, dtype in ((x, "<f8"), (y, "<i8"), (z, "<i8")))
+def sidecar_bytes(csv_bytes, x, y, z, label_dtype="u1"):
+    """The sidecar layout: sha256 of the CSV's and the columns' bytes, then the columns.
+
+    Labels take one byte each; "<i8" gives the 32 + 32n layout of earlier versions.
+    """
+    columns = b"".join(np.asarray(col, dtype).tobytes()
+                       for col, dtype in ((x, "<f8"), (y, label_dtype), (z, label_dtype)))
     return hashlib.sha256(csv_bytes + columns).digest() + columns
 
 
@@ -641,8 +647,9 @@ def test_the_sidecar_is_the_digest_then_the_little_endian_columns(tmp_path, n):
     data = awkward_dataset(n)
     sidecar = save_with_sidecar(data, path)
     raw = Path(sidecar).read_bytes()
-    assert len(raw) == 32 + 32 * len(data)
+    assert len(raw) == 32 + 18 * len(data)
     assert raw == sidecar_bytes(path.read_bytes(), data.x, data.y_clean, data.z_observed)
+    assert set(raw[32 + 16 * len(data):]) <= {0, 1}
 
 
 def test_a_sidecar_in_the_old_zip_layout_is_never_read(tmp_path):
@@ -654,6 +661,16 @@ def test_a_sidecar_in_the_old_zip_layout_is_never_read(tmp_path):
     with open(sidecar, "wb") as fh:
         np.savez(fh, sha256=digest, x=data.x + 1.0, y_clean=1 - data.y_clean, z_observed=data.z_observed)
     assert_same_dataset(load_dataset_csv(path), data)  # parsed, not the archive's other values
+
+
+def test_a_sidecar_in_the_int64_label_layout_is_never_read(tmp_path):
+    # 32 + 32n bytes: int64 labels, as earlier versions wrote them, under their true digest
+    path = tmp_path / "data.csv"
+    data = awkward_dataset(BLOCK + 1)
+    sidecar = save_with_sidecar(data, path)
+    Path(sidecar).write_bytes(sidecar_bytes(path.read_bytes(), data.x + 1.0, ~data.y_clean,
+                                            data.z_observed, "<i8"))
+    assert_same_dataset(load_dataset_csv(path), data)  # parsed, not the sidecar's other values
 
 
 def test_a_sidecar_load_holds_the_columns_once(tmp_path, traced_peak):
@@ -705,12 +722,13 @@ def test_a_csv_edited_after_saving_loads_the_edited_values(tmp_path):
 
 def forged_sidecar(path, sidecar, kind, data):
     """Replace the sidecar with one of other values that holds a valid digest, and the given defect."""
-    x, y, z = data.x + 1.0, 1 - data.y_clean, data.z_observed  # what a served sidecar returns
+    x, y, z = data.x + 1.0, ~data.y_clean, data.z_observed  # what a served sidecar returns
     n = len(data)
     if kind == "wrong-length":
         x, y, z = x[1:], y[1:], z[1:]
     elif kind == "labels-not-0-1":
-        z = z + 1
+        z = z.astype(np.uint8)
+        z[n // 2] = 2
     elif kind == "non-finite-x":
         x = x.copy()
         x[n // 2, 1] = np.inf
@@ -720,7 +738,7 @@ def forged_sidecar(path, sidecar, kind, data):
     elif kind == "one-byte-long":
         forged += b"\0"
     elif kind == "corrupt":  # a flipped byte in each column; the digest no longer matches
-        for at in (32 + 8 * n, 32 + 20 * n, 32 + 28 * n):
+        for at in (32 + 8 * n, 32 + 16 * n + n // 2, 32 + 17 * n + n // 2):
             forged[at] ^= 0xFF
     elif kind == "other-digest":
         forged[:32] = hashlib.sha256(b"other").digest()
@@ -739,7 +757,7 @@ def test_a_damaged_sidecar_falls_back_to_the_csv_parse(tmp_path, kind):
     forged_sidecar(path, sidecar, kind, data)
     loaded = load_dataset_csv(path)
     if kind == "sound":  # a sidecar that holds the CSV's digest is trusted
-        assert_same_dataset(loaded, Dataset(data.x + 1.0, 1 - data.y_clean, data.z_observed))
+        assert_same_dataset(loaded, Dataset(data.x + 1.0, ~data.y_clean, data.z_observed))
     else:
         assert_same_dataset(loaded, data)
 
@@ -825,6 +843,18 @@ def test_csv_load_past_a_stale_sidecar_agrees_with_the_line_parser(tmp_path, tex
         assert str(raised.value) == str(exc)
         return
     assert_same_dataset(load_dataset_csv(path), expected)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, bool])
+def test_dataset_holds_0_1_columns_as_bool(dtype):
+    y, z = np.array([0, 1, 1, 0], dtype), np.array([1, 1, 0, 0], dtype)
+    data = Dataset(np.zeros((4, 2)), y, z)
+    assert data.y_clean.dtype == bool and data.z_observed.dtype == bool
+    assert data.y_clean.tolist() == [False, True, True, False]
+    assert data.z_observed.tolist() == [True, True, False, False]
+    for bad in (2, 0.5, -1):  # a bool cast would make each of them True
+        with pytest.raises(ValueError, match="only 0/1 values"):
+            Dataset(np.zeros((4, 2)), np.array([0, 1, bad, 0]), z)
 
 
 def test_dataset_validation():
