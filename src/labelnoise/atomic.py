@@ -1,4 +1,4 @@
-"""Output files that appear whole or not at all.
+"""The package's file conventions: outputs that appear whole or not at all, and UTF-8 input.
 
 ``atomic_open(path)`` is the one way the package writes a dataset CSV and
 its binary sidecar, a model, a results or summary CSV, an SVG chart or a
@@ -7,12 +7,14 @@ named with the process id, and ``os.replace`` moves it into place only once
 it is complete; a write that fails or is interrupted leaves ``path`` absent
 or with its old bytes.  A symlinked ``path`` is followed, so the file it
 points to is replaced and the link stays, and a replaced file keeps its
-permission bits.  A target that exists and is not a regular file (a FIFO,
-a device) is written in place, since it cannot be replaced, and so is a
-name of one of the process's open descriptors (``/dev/fd/N``,
-``/proc/self/fd/N``) and the file of its stdout, also when it is a regular
-file: replacing that file would leave the descriptor on an unlinked copy and
-the name resolved through it pointing at ``<file> (deleted)``.
+permission bits.  ``in_place(path)`` is the one rule for a target written in
+place instead, which gets neither a dataset sidecar nor a manifest: one that
+exists and is not a regular file (a FIFO, a device), a name of one of the
+process's open descriptors (``/dev/fd/N``, ``/proc/self/fd/N``) and the file
+of its stdout, also when it is a regular file.  Replacing that file would
+leave the descriptor on an unlinked copy and the name resolved through it
+pointing at ``<file> (deleted)``.  ``decode_utf8`` names the line of an
+input's first byte that is not UTF-8.
 """
 
 import os
@@ -47,16 +49,17 @@ def names_descriptor(path) -> bool:
     return False
 
 
+def in_place(path) -> bool:
+    """Whether atomic_open writes path in place: an existing non-regular file, a descriptor or stdout."""
+    return (os.path.exists(path) and not os.path.isfile(path)) or names_descriptor(path) or is_stdout(path)
+
+
 @contextmanager
 def atomic_open(path, binary: bool = False):
     """File handle whose contents land at path on a clean exit: text (newline="") or binary."""
     path = os.fspath(path)
     mode, newline = ("wb", None) if binary else ("w", "")
-    try:
-        st_mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        st_mode = None
-    if (st_mode is not None and not stat.S_ISREG(st_mode)) or names_descriptor(path) or is_stdout(path):
+    if in_place(path):
         with open(path, mode, newline=newline) as fh:
             yield fh
         return
@@ -70,9 +73,19 @@ def atomic_open(path, binary: bool = False):
     try:
         with fh:
             yield fh
-        if st_mode is not None:
-            os.chmod(tmp, stat.S_IMODE(st_mode))
+        if os.path.exists(target):
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def decode_utf8(raw: bytes, error_type: type[Exception], prefix: str = "") -> str:
+    """raw decoded as UTF-8; other bytes raise error_type("<prefix>line N: not UTF-8 text (...)")."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # no UTF-8 multi-byte sequence contains a newline byte
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise error_type(f"{prefix}line {lineno}: not UTF-8 text ({exc.reason})") from None

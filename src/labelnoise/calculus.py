@@ -187,12 +187,21 @@ def threshold_from_priors(eval_prior: ClassPriors, noisy_train_prior: ClassPrior
     return num / (eval_prior.p1 * noisy_train_prior.p0 + num)
 
 
+def as_labels(values, name: str) -> np.ndarray:
+    """values as an array in its own dtype, checked to hold only 0 and 1 (a bool array needs no check).
+
+    The package's one 0/1 label check; run it before a bool cast, which makes a 0.5, a 2 or a -1 True.
+    """
+    values = np.asarray(values)
+    if values.dtype != bool and not ((values == 0) | (values == 1)).all():
+        raise ValueError(f"{name} must contain only 0/1 values")
+    return values
+
+
 def _as_binary_array(observations) -> np.ndarray:
-    obs = np.asarray(observations)
+    obs = as_labels(observations, "observations")
     if obs.size == 0:
         raise ValueError("need at least one observation")
-    if not ((obs == 0) | (obs == 1)).all():
-        raise ValueError("observations must all be 0 or 1")
     return obs.astype(np.float64).ravel()
 
 

@@ -10,11 +10,10 @@ Subcommands:
 * fig3      — flip-ratio grid (corrected vs naive threshold)
 * bernoulli — flipped-coin demo: closed-form rate recovery vs grid-search MLE
 
-Batch-only by design: every run reads flags/config, writes its outputs plus
-a JSON manifest (none next to an output that is not a regular file, or is
-a descriptor such as stdout), and exits.  Usage and config errors exit 2;
-runtime failures (missing/malformed files, diverged training) exit 1, and so
-does a stdout its reader closed early, silently.
+Batch-only by design: every run reads flags/config, writes its outputs plus a
+JSON manifest (none next to an output written in place, ``atomic.in_place``),
+and exits.  Usage and config errors exit 2; runtime failures (missing/malformed
+files, diverged training) exit 1, and so does a stdout its reader closed early, silently.
 """
 
 import argparse
@@ -27,7 +26,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, experiments, mlp, svgchart, synthdata
-from .atomic import atomic_open, is_stdout, names_descriptor
+from .atomic import atomic_open, decode_utf8, in_place, is_stdout
 from .calculus import (
     ClassPriors,
     NoiseParams,
@@ -72,11 +71,9 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: list[str],
 def _output_manifest(out: Path, command: str, args, outputs: list[str], started: str) -> Path | None:
     """Write the manifest next to a command's output file and return its path.
 
-    None, and no manifest, for a target that is not a regular file (a FIFO or
-    a device), names a descriptor or is the process's stdout:
-    `/dev/fd/3.manifest.json` names no file that can be made.
+    None, and no manifest, for a target written in place: `/dev/fd/3.manifest.json` names no file.
     """
-    if not out.is_file() or names_descriptor(out) or is_stdout(out):
+    if in_place(out):
         return None
     manifest = out.with_name(out.name + ".manifest.json")
     _write_manifest(manifest, command, _flag_values(args), outputs, started)
@@ -210,12 +207,9 @@ def _load_grid_config(cls, path):
     raw = {}
     if path is not None:
         with open(path, "rb") as fh:
-            data = fh.read()
+            text = decode_utf8(fh.read(), ConfigError, f"config {path}: ")
         try:
-            raw = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise ConfigError(f"config {path}: line {lineno}: not UTF-8 text ({exc.reason})") from None
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path}: not valid JSON ({exc})") from None
         except (ValueError, RecursionError) as exc:  # a duplicate key, nesting or digits past a limit

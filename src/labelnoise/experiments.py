@@ -167,14 +167,15 @@ def _split(items: list, parts: int) -> list[list]:
 def _plan_stacks(cfg: GridConfig, tasks: list[tuple], jobs: int) -> list[list[int]]:
     """Lockstep stacks of task indices, the most SGD steps per epoch first.
 
-    Each train size's cells, in task order, are cut into near-equal stacks of at most ``mlp.block_rows``
-    rows per step (bigger stacks gain little); a count above one is rounded up to a multiple of jobs,
-    but never past one cell per stack.
+    Each train size's cells, in task order, are cut into near-equal stacks of one cell or at most
+    ``mlp.block_rows`` rows per step (bigger stacks gain little); a count above one is rounded up to a
+    multiple of jobs, but never past one cell per stack.
     """
     stacks = []
     for size in dict.fromkeys(cell[3] for _, cell in tasks):  # train sizes in task order
         members = [i for i, (_, cell) in enumerate(tasks) if cell[3] == size]
-        parts = -(-len(members) * min(size, cfg.batch_size) // mlp.block_rows(mlp.Architecture()))
+        per_stack = max(1, mlp.block_rows(mlp.Architecture()) // min(size, cfg.batch_size))
+        parts = -(-len(members) // per_stack)
         stacks += _split(members, min(len(members), -(-parts // jobs) * jobs if parts > 1 else 1))
     return sorted(stacks, key=lambda stack: -(-tasks[stack[0]][1][3] // cfg.batch_size), reverse=True)
 

@@ -63,8 +63,8 @@ from typing import NamedTuple, get_args, get_origin
 
 import numpy as np
 
-from .atomic import atomic_open
-from .calculus import logistic
+from .atomic import atomic_open, decode_utf8
+from .calculus import as_labels, logistic
 from .seeding import make_rng
 
 _PROB_LO = np.nextafter(0.0, 1.0)
@@ -330,13 +330,11 @@ def _softplus(s: np.ndarray) -> np.ndarray:
 
 
 def _as_targets(t, shape: tuple[int, ...]) -> np.ndarray:
-    """t as an array of the given shape, checked to hold only 0 and 1, in its own dtype."""
+    """t as an array of the given shape, checked to hold only 0 and 1 (``as_labels``), in its own dtype."""
     t = np.asarray(t)
     if t.shape != shape:
         raise ValueError(f"targets must have shape {shape}, got {t.shape}")
-    if not ((t == 0) | (t == 1)).all():
-        raise ValueError("targets must be 0 or 1")
-    return t
+    return as_labels(t, "targets")
 
 
 def loss(params: MlpParams, x, targets) -> float:
@@ -501,47 +499,48 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     t_gather = np.empty(stack * most, dtype=t.dtype)
     epoch_losses: list[list[float]] = []  # per epoch, one loss per network
     averaged = 0
-    for epoch in range(cfg.epochs):
-        # each network shuffles its own rows, in stack order: the draw of permutation(n), offset
-        for r, (row, shuffle) in enumerate(zip(order, shuffles)):
-            row.fill(1)  # r*n, r*n + 1, ...: ones summed in place, with no arange temporary
-            row[0] = r * n
-            np.cumsum(row, dtype=row.dtype, out=row)
-            shuffle.shuffle(row)
-        running = np.zeros(stack)
-        for rows, starts, step in spans:
-            for first in range(0, len(starts), len(step.scores)):
-                batches = len(starts[first:first + len(step.scores)])
-                span = order[:, starts[first]:starts[first] + batches * rows]
-                xs = x_window[:span.size * arch.input_dim].reshape(*span.shape, arch.input_dim)
-                ts = t_window[:span.size].reshape(span.shape)
-                # one gather serves the stack.  The indices are always in range;
-                # mode="raise" would gather through a hidden copy of out
-                np.take(x_rows, span, axis=0, out=xs, mode="clip")
-                ts[...] = np.take(t_rows, span, out=t_gather[:span.size].reshape(span.shape),
-                                  mode="clip")
-                for k, s in enumerate(step.scores[:batches]):
-                    batch = slice(k * rows, (k + 1) * rows)
-                    _backprop(weights, biases, xs[:, batch], ts[:, batch], grads, step, s)
-                    if cfg.weight_decay:
-                        g[:, :n_weights] += np.multiply(theta[:, :n_weights], cfg.weight_decay, out=decay)
-                    velocity *= cfg.momentum
-                    velocity -= np.multiply(g, cfg.learning_rate, out=g)
-                    theta += velocity
-                targets = ts.reshape(stack, batches, rows).transpose(1, 0, 2)
-                running = _add_window_losses(running, step.scores[:batches], targets)
-        losses = (running / n).tolist()
-        for r, value in enumerate(losses):
-            if not math.isfinite(value):
-                raise TrainingDivergedError(f"epoch {epoch + 1}: training loss is {value}"
-                                            + (f" (network {r})" if stack > 1 else ""))
-        epoch_losses.append(losses)
-        if epoch >= cfg.epochs - cfg.average_tail:
-            tail += theta
-            averaged += 1
-        if (cfg.early_stop_tol is not None and epoch > 0
-                and epoch_losses[-2][0] - losses[0] < cfg.early_stop_tol):
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises its own error below
+        for epoch in range(cfg.epochs):
+            # each network shuffles its own rows, in stack order: the draw of permutation(n), offset
+            for r, (row, shuffle) in enumerate(zip(order, shuffles)):
+                row.fill(1)  # r*n, r*n + 1, ...: ones summed in place, with no arange temporary
+                row[0] = r * n
+                np.cumsum(row, dtype=row.dtype, out=row)
+                shuffle.shuffle(row)
+            running = np.zeros(stack)
+            for rows, starts, step in spans:
+                for first in range(0, len(starts), len(step.scores)):
+                    batches = len(starts[first:first + len(step.scores)])
+                    span = order[:, starts[first]:starts[first] + batches * rows]
+                    xs = x_window[:span.size * arch.input_dim].reshape(*span.shape, arch.input_dim)
+                    ts = t_window[:span.size].reshape(span.shape)
+                    # one gather serves the stack.  The indices are always in range;
+                    # mode="raise" would gather through a hidden copy of out
+                    np.take(x_rows, span, axis=0, out=xs, mode="clip")
+                    ts[...] = np.take(t_rows, span, out=t_gather[:span.size].reshape(span.shape),
+                                      mode="clip")
+                    for k, s in enumerate(step.scores[:batches]):
+                        batch = slice(k * rows, (k + 1) * rows)
+                        _backprop(weights, biases, xs[:, batch], ts[:, batch], grads, step, s)
+                        if cfg.weight_decay:
+                            g[:, :n_weights] += np.multiply(theta[:, :n_weights], cfg.weight_decay, out=decay)
+                        velocity *= cfg.momentum
+                        velocity -= np.multiply(g, cfg.learning_rate, out=g)
+                        theta += velocity
+                    targets = ts.reshape(stack, batches, rows).transpose(1, 0, 2)
+                    running = _add_window_losses(running, step.scores[:batches], targets)
+            losses = (running / n).tolist()
+            for r, value in enumerate(losses):
+                if not math.isfinite(value):
+                    raise TrainingDivergedError(f"epoch {epoch + 1}: training loss is {value}"
+                                                + (f" (network {r})" if stack > 1 else ""))
+            epoch_losses.append(losses)
+            if epoch >= cfg.epochs - cfg.average_tail:
+                tail += theta
+                averaged += 1
+            if (cfg.early_stop_tol is not None and epoch > 0
+                    and epoch_losses[-2][0] - losses[0] < cfg.early_stop_tol):
+                break
     final = tail / averaged if averaged else theta
     return [TrainResult(MlpParams(arch, *_layers(arch, row)), curve)
             for row, curve in zip(final, zip(*epoch_losses))]
@@ -604,12 +603,7 @@ def save_model(params: MlpParams, path) -> None:
 def load_model(path) -> MlpParams:
     """Inverse of save_model; bad files raise ModelFormatError with a line number."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ModelFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+        text = decode_utf8(fh.read(), ModelFormatError)
     # lines end at "\n" only: str.splitlines would also break at form feeds and
     # other characters that str.split treats as whitespace inside a row
     lines = text.replace("\r\n", "\n").split("\n")

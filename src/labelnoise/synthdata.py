@@ -27,7 +27,7 @@ which names the line of every error: labels must be the integers 0 and 1,
 and a `#` line is a data error, not a comment.
 
 The CSV is the format; its sidecar `<csv>.bin` is a cache keyed by the
-CSV's content.  For a regular file named by its path (or stdout's file), the
+CSV's content.  For a target not written in place (``atomic.in_place``), the
 writer stores the sha256 of the CSV's bytes and then the three columns' bytes,
 followed by the columns themselves: x as little-endian float64 (n, 2), then
 y_clean and z_observed as one byte of 0 or 1 a row, 32 + 18n bytes in all.
@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open, is_stdout, names_descriptor
-from .calculus import ClassPriors, NoiseParams, logistic
+from .atomic import atomic_open, decode_utf8, in_place
+from .calculus import ClassPriors, NoiseParams, as_labels, logistic
 from .seeding import make_rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -130,22 +130,16 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y_clean)
-        z = np.asarray(self.z_observed)
+        y, z = np.asarray(self.y_clean), np.asarray(self.z_observed)
         if x.ndim != 2 or x.shape[1] != 2:
             raise ValueError(f"features must have shape (n, 2), got {x.shape}")
-        n = x.shape[0]
-        if y.shape != (n,) or z.shape != (n,):
+        if y.shape != x.shape[:1] or z.shape != x.shape[:1]:
             raise ValueError("label columns must match the number of feature rows")
         if not np.isfinite(x).all():
             raise ValueError("features must be finite")
-        # checked before the bool cast, which would make a 0.5, a 2 or a -1 True
-        for name, col in (("y_clean", y), ("z_observed", z)):
-            if not ((col == 0) | (col == 1)).all():
-                raise ValueError(f"{name} must contain only 0/1 values")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y_clean", y.astype(bool, copy=False))
-        object.__setattr__(self, "z_observed", z.astype(bool, copy=False))
+        for name, col in (("y_clean", y), ("z_observed", z)):  # checked before the bool cast
+            object.__setattr__(self, name, as_labels(col, name).astype(bool, copy=False))
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -327,9 +321,9 @@ def bayes_accuracy(problem: ProblemInstance, data: Dataset) -> float:
 def save_dataset_csv(data: Dataset, path) -> str | None:
     """Write x1,x2,y_clean,z_observed rows; floats keep 17 significant digits.
 
-    A regular file also gets its sidecar, written after the CSV is complete
-    from the columns' own buffers; returns the sidecar's path, or None for a
-    FIFO, a device or a descriptor other than stdout (``/dev/fd/3``).
+    A target replaced whole also gets its sidecar, written after the CSV is
+    complete from the columns' own buffers; returns the sidecar's path, or None
+    for a target written in place (``atomic.in_place``).
     """
     digest = hashlib.sha256()
     with atomic_open(path, binary=True) as fh:
@@ -337,7 +331,7 @@ def save_dataset_csv(data: Dataset, path) -> str | None:
             chunk = text.encode("ascii")
             digest.update(chunk)
             fh.write(chunk)
-    if not os.path.isfile(path) or (names_descriptor(path) and not is_stdout(path)):
+    if in_place(path):
         return None
     sidecar = _sidecar_path(path)
     columns = [memoryview(np.ascontiguousarray(column, dtype)).cast("B") for column, dtype in
@@ -382,12 +376,7 @@ def load_dataset_csv(path) -> Dataset:
             return data
     with open(path, "rb") as fh:  # read once: a pipe cannot be reopened
         raw = fh.read()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # no UTF-8 multi-byte sequence contains a newline byte
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise DatasetFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+    decode_utf8(raw, DatasetFormatError)  # the check only: the text is dropped at once
     # decoded a buffer at a time, from a BytesIO that shares raw's bytes
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as text:
         return _parse_dataset_csv(csv.reader(text))

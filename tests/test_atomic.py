@@ -2,6 +2,7 @@ import errno
 import os
 import stat
 import threading
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import pytest
@@ -196,3 +197,90 @@ def test_descriptor_names_are_told_from_paths_through_links(tmp_path):
         assert atomic.names_descriptor(name), name
     for name in (tmp_path / "2", tmp_path / "loop", tmp_path / "missing", "/proc/self/fd"):
         assert not atomic.names_descriptor(name), name
+
+
+@contextmanager
+def as_stdout(path):
+    """This process's fd 1 writes to path for the duration."""
+    saved = os.dup(1)
+    try:
+        with open(path, "ab") as fh:
+            os.dup2(fh.fileno(), 1)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
+def _absent(tmp_path, stack):
+    return str(tmp_path / "out.csv")
+
+
+def _regular(tmp_path, stack):
+    (tmp_path / "out.csv").write_text("old\n")
+    return str(tmp_path / "out.csv")
+
+
+def _symlink(tmp_path, stack):
+    (tmp_path / "real.csv").write_text("old\n")
+    (tmp_path / "out.csv").symlink_to("real.csv")
+    return str(tmp_path / "out.csv")
+
+
+def _fifo(tmp_path, stack):
+    os.mkfifo(tmp_path / "out.csv")
+    return str(tmp_path / "out.csv")
+
+
+def _descriptor(tmp_path, stack):
+    fh = stack.enter_context(open(tmp_path / "out.csv", "wb"))
+    return f"/dev/fd/{fh.fileno()}"
+
+
+def _stdout(tmp_path, stack):
+    (tmp_path / "out.csv").write_text("")
+    stack.enter_context(as_stdout(tmp_path / "out.csv"))
+    return str(tmp_path / "out.csv")
+
+
+@contextmanager
+def drained(path):
+    """A reader on the other end of path while it is written, if path is a FIFO."""
+    if not Path(path).is_fifo():
+        yield
+        return
+    reader = threading.Thread(target=lambda: Path(path).read_bytes(), daemon=True)
+    reader.start()
+    yield
+    reader.join(30)
+    assert not reader.is_alive()
+
+
+# name -> (make the target in tmp_path and return its name, whether it is written in place)
+TARGETS = {
+    "absent": (_absent, False),
+    "regular": (_regular, False),
+    "symlink": (_symlink, False),
+    "fifo": (_fifo, True),
+    "dev-null": (lambda tmp_path, stack: os.devnull, True),
+    "dev-fd": (_descriptor, True),
+    "stdout-file": (_stdout, True),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("name", TARGETS)
+def test_one_rule_says_which_targets_are_written_in_place(tmp_path, name):
+    # in place means: the inode stays, and gen writes neither a sidecar nor a manifest next to it
+    make, expected = TARGETS[name]
+    with ExitStack() as stack:
+        path = make(tmp_path, stack)
+        assert atomic.in_place(path) == expected
+        before = os.stat(path).st_ino if os.path.exists(path) else None
+        with drained(path), atomic_open(path) as fh:
+            fh.write("new\n")
+        assert (os.stat(path).st_ino != before) == (not expected)
+        with drained(path):
+            assert cli.main(["gen", "--out", path, "--n", "5"]) == 0
+        sidecar, manifest = os.path.realpath(path) + ".bin", path + ".manifest.json"
+        assert (os.path.exists(sidecar), os.path.exists(manifest)) == (not expected, not expected)

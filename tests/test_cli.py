@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import os
 import select
@@ -167,12 +166,12 @@ def test_an_output_to_stdout_is_all_that_stdout_carries(tmp_path, command, stdou
     assert proc.returncode == 0
     assert (proc.stdout if stdout == "pipe" else out.read_bytes()) == regular.read_bytes()
     assert " to /dev/fd/1\n" in proc.stderr.decode() and "manifest" not in proc.stderr.decode()
-    # a regular stdout is written in place, so a gen sidecar lands next to it, keyed by its bytes
-    made = {"stdout.out"} | ({"stdout.out.bin"} if stdout == "file" and command == "gen" else set())
-    assert set(os.listdir(tmp_path)) - before == made
-    if "stdout.out.bin" in made:
-        sidecar = (tmp_path / "stdout.out.bin").read_bytes()
-        assert sidecar[:32] == hashlib.sha256(out.read_bytes() + sidecar[32:]).digest()
+    # a regular stdout is written in place, so it gets no sidecar either: its CSV loads through the parser
+    assert set(os.listdir(tmp_path)) - before == {"stdout.out"}
+    if stdout == "file" and command == "gen":
+        parsed, cached = synthdata.load_dataset_csv(out), synthdata.load_dataset_csv(regular)
+        for name in ("x", "y_clean", "z_observed"):
+            assert getattr(parsed, name).tobytes() == getattr(cached, name).tobytes()
 
 
 @pytest.mark.parametrize("name", [

@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from labelnoise import mlp, synthdata
 from labelnoise.experiments import (
@@ -189,6 +191,35 @@ def test_one_job_plans_block_sized_stacks_in_task_order():
         members = [i for i, (_, cell) in enumerate(tasks) if cell[3] == size]
         want += [members[:20], members[20:]]
     assert stack_plan(cfg, jobs=1) == want
+
+
+@settings(max_examples=1000, deadline=None)
+@given(fig2=st.booleans(), runs=st.integers(1, 20), levels=st.integers(1, 4),
+       sizes=st.lists(st.integers(1, 2500), min_size=1, max_size=4), batch_size=st.integers(1, 1200),
+       jobs=st.integers(1, 6))
+# 51 cells of 100 rows a step were once cut into stacks of up to 11 cells, 1100 rows
+@example(fig2=False, runs=17, levels=3, sizes=[200], batch_size=100, jobs=1)
+def test_stack_plans_keep_their_promises(fig2, runs, levels, sizes, batch_size, jobs):
+    noise = (0.0, 0.1, 0.2, 0.4)[:levels]
+    if fig2:
+        cfg = EfficiencyGridConfig(noise_levels=noise, training_sizes=tuple(sizes), runs=runs,
+                                   batch_size=batch_size)
+    else:  # one flip ratio per drawn size
+        cfg = FlipRatioGridConfig(noise_levels=noise, flip_ratios=(1.0, 2.0, 4.0, 8.0)[:len(sizes)],
+                                  train_size=sizes[0], runs=runs, batch_size=batch_size)
+    tasks = grid_tasks(cfg)
+    plan = _plan_stacks(cfg, tasks, jobs)
+    assert sorted(i for stack in plan for i in stack) == list(range(len(tasks)))
+    stack_sizes = sizes_of(cfg, plan)
+    assert all(len(one) == 1 for one in stack_sizes)
+    cap = mlp.block_rows(mlp.Architecture())
+    for stack, (size,) in zip(plan, stack_sizes):
+        assert len(stack) == 1 or len(stack) * min(size, batch_size) <= cap
+    cells = Counter(cell[3] for _, cell in tasks)
+    for size, count in Counter(size for (size,) in stack_sizes).items():
+        assert count in (1, cells[size]) or count % jobs == 0
+    steps = [-(-size // batch_size) for (size,) in stack_sizes]
+    assert steps == sorted(steps, reverse=True)
 
 
 def test_stacks_never_outnumber_their_cells():

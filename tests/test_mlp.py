@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -505,10 +506,21 @@ def test_train_stack_rejects_early_stop_for_several_networks():
 def test_train_stack_names_the_diverged_network():
     problem = make_random_problem(45, 2.5)
     data = [sample_dataset(problem, 100, seed) for seed in (46, 47)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDivergedError, match=r"epoch 1: .* \(network 0\)"):
-            train_stack([d.x for d in data], [d.y_clean for d in data], Architecture(),
-                        TrainConfig(epochs=3, learning_rate=1e307), [1, 2])
+    with pytest.raises(TrainingDivergedError, match=r"epoch 1: .* \(network 0\)"):
+        train_stack([d.x for d in data], [d.y_clean for d in data], Architecture(),
+                    TrainConfig(epochs=3, learning_rate=1e307), [1, 2])
+
+
+@pytest.mark.parametrize("learning_rate", [1e307, 1.7e308])
+def test_a_diverged_run_raises_its_typed_error_and_no_numpy_warning(learning_rate):
+    problem = make_random_problem(45, 2.5)
+    data = [sample_dataset(problem, 100, seed) for seed in (46, 47)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here before the typed error
+        for stack in (data[:1], data):
+            with pytest.raises(TrainingDivergedError, match="training loss is"):
+                train_stack([d.x for d in stack], [d.y_clean for d in stack], Architecture(),
+                            TrainConfig(epochs=3, learning_rate=learning_rate), range(len(stack)))
 
 
 def test_grad_matches_the_per_layer_reference_bit_for_bit():
@@ -526,11 +538,10 @@ def test_grad_matches_the_per_layer_reference_bit_for_bit():
 def test_train_raises_on_numeric_blowup():
     problem = make_random_problem(45, 2.5)
     data = sample_dataset(problem, 500, 46)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDivergedError, match="epoch"):
-            train(data.x, data.y_clean,
-                  cfg=TrainConfig(epochs=3, batch_size=32, learning_rate=1e307,
-                                  momentum=0.9, init_seed=42))
+    with pytest.raises(TrainingDivergedError, match="epoch"):
+        train(data.x, data.y_clean,
+              cfg=TrainConfig(epochs=3, batch_size=32, learning_rate=1e307,
+                              momentum=0.9, init_seed=42))
 
 
 def test_train_validates_features_and_targets():
