@@ -12,8 +12,9 @@ Subcommands:
 
 Batch-only by design: every run reads flags/config, writes its outputs plus a
 JSON manifest (none next to an output written in place, ``atomic.in_place``),
-and exits.  Usage and config errors exit 2; runtime failures (missing/malformed
-files, diverged training) exit 1, and so does a stdout its reader closed early, silently.
+and exits.  Usage errors, config-file errors among them, exit 2; runtime
+failures (missing/malformed files, diverged training) exit 1, and so does a
+stdout its reader closed early, silently.
 """
 
 import argparse
@@ -41,11 +42,7 @@ from .seeding import derive_seed, make_rng
 
 
 class UsageError(Exception):
-    """Bad flag values or combinations; exits 2."""
-
-
-class ConfigError(Exception):
-    """Bad experiment config file; exits 2."""
+    """Bad flag values or combinations, or a bad experiment config file; exits 2."""
 
 
 def _utc_now() -> str:
@@ -69,28 +66,24 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: list[str],
 
 
 def _output_manifest(out: Path, command: str, args, outputs: list[str], started: str) -> Path | None:
-    """Write the manifest next to a command's output file and return its path.
+    """Write the manifest, with the parsed flags, next to a command's output file; return its path.
 
     None, and no manifest, for a target written in place: `/dev/fd/3.manifest.json` names no file.
     """
     if in_place(out):
         return None
     manifest = out.with_name(out.name + ".manifest.json")
-    _write_manifest(manifest, command, _flag_values(args), outputs, started)
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    _write_manifest(manifest, command, flags, outputs, started)
     return manifest
 
 
-def _flag_values(args) -> dict:
-    """The parsed flags of a subcommand, as recorded in its manifest."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-
-
-def _flags(build):
-    """Run a constructor over flag values, turning ValueError into UsageError."""
+def _flags(build, prefix: str = ""):
+    """Run a constructor over flag or config values; a ValueError becomes UsageError(prefix + message)."""
     try:
         return build()
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{prefix}{exc}") from None
 
 
 # ---------------------------------------------------------------- threshold
@@ -204,28 +197,25 @@ def _unique_keys(pairs: list[tuple]) -> dict:
 
 
 def _load_grid_config(cls, path):
-    raw = {}
+    raw, prefix = {}, f"config {path}: "
     if path is not None:
         with open(path, "rb") as fh:
-            text = decode_utf8(fh.read(), ConfigError, f"config {path}: ")
+            text = decode_utf8(fh.read(), UsageError, prefix)
         try:
             raw = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path}: not valid JSON ({exc})") from None
+            raise UsageError(f"{prefix}not valid JSON ({exc})") from None
         except (ValueError, RecursionError) as exc:  # a duplicate key, nesting or digits past a limit
-            raise ConfigError(f"config {path}: {exc}") from None
+            raise UsageError(f"{prefix}{exc}") from None
         if not isinstance(raw, dict):
-            raise ConfigError(f"config {path}: top level must be a JSON object")
+            raise UsageError(f"{prefix}top level must be a JSON object")
         allowed = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - allowed)
         if unknown:
-            raise ConfigError(
-                f"config {path}: unknown key(s): {', '.join(unknown)}; "
+            raise UsageError(
+                f"{prefix}unknown key(s): {', '.join(unknown)}; "
                 f"allowed keys: {', '.join(sorted(allowed))}")
-    try:
-        return cls(**raw)
-    except ValueError as exc:
-        raise ConfigError(f"config {path}: {exc}") from None
+    return _flags(lambda: cls(**raw), prefix)
 
 
 def _chart_series(summary, x_field: str):
@@ -411,7 +401,7 @@ def main(argv=None) -> int:
         code = args.func(args)
     except SystemExit as exc:
         code = 0 if exc.code in (0, None) else int(exc.code)
-    except (UsageError, ConfigError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except (synthdata.DatasetFormatError, mlp.ModelFormatError, mlp.TrainingDivergedError,

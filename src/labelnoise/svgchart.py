@@ -41,6 +41,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # a step below half an ulp of t: no further tick is representable
+            break
         t += step
     return ticks
 
@@ -63,6 +65,15 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
+def _axis_range(lo: float, hi: float, half: float, pad: float) -> tuple[float, float]:
+    """lo..hi widened by pad times its width; one value v spans v +- half first, or v +- 4 ulps."""
+    if hi == lo:  # 4 ulps where rounding loses half: 1e300 +- 0.5 is 1e300
+        half = half if lo - half < lo < lo + half else 4 * math.ulp(lo)
+        lo, hi = lo - half, hi + half
+    pad *= hi - lo
+    return lo - pad, hi + pad
+
+
 def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label: str,
                       x_log: bool = False, width: int = 720, height: int = 480) -> str:
     if not series:
@@ -78,16 +89,8 @@ def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label
     def xt(v: float) -> float:
         return math.log10(v) if x_log else v
 
-    x_lo, x_hi = min(xt(v) for v in all_x), max(xt(v) for v in all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.05, y_hi + 0.05
-    y_pad = 0.06 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
-    x_pad = 0.04 * (x_hi - x_lo)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
+    x_lo, x_hi = _axis_range(min(xt(v) for v in all_x), max(xt(v) for v in all_x), 0.5, 0.04)
+    y_lo, y_hi = _axis_range(min(all_y), max(all_y), 0.05, 0.06)
 
     def sx(v: float) -> float:
         return left + (xt(v) - x_lo) / (x_hi - x_lo) * px

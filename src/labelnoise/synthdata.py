@@ -368,7 +368,9 @@ def load_dataset_csv(path) -> Dataset:
 
     A regular file whose sidecar holds the sha256 of its exact bytes loads
     from the sidecar.  Any other file, a pipe or device included, is read
-    once and goes through the line parser, the one source of error messages.
+    once and goes through the line parser, decoded one 8 KiB buffer at a time
+    as it reads: a byte that is not UTF-8 is named by its line once the parser
+    reaches its buffer, after any bad line in an earlier buffer.
     """
     if os.path.isfile(path):
         data = _load_sidecar(path)
@@ -376,10 +378,12 @@ def load_dataset_csv(path) -> Dataset:
             return data
     with open(path, "rb") as fh:  # read once: a pipe cannot be reopened
         raw = fh.read()
-    decode_utf8(raw, DatasetFormatError)  # the check only: the text is dropped at once
-    # decoded a buffer at a time, from a BytesIO that shares raw's bytes
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as text:
-        return _parse_dataset_csv(csv.reader(text))
+    try:  # from a BytesIO that shares raw's bytes
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as text:
+            return _parse_dataset_csv(csv.reader(text))
+    except UnicodeDecodeError:  # it names a buffer's offset; decode_utf8 names the line
+        decode_utf8(raw, DatasetFormatError)
+        raise  # not reached: raw holds the byte the wrapper failed on
 
 
 def _load_sidecar(path) -> Dataset | None:

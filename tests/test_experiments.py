@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from labelnoise import mlp, synthdata
 from labelnoise.experiments import (
@@ -150,6 +150,30 @@ def test_grid_results_do_not_depend_on_worker_count():
     cfg = tiny_efficiency(training_sizes=(20, 300, 90), runs=3)  # the longest stack goes out first
     assert sizes_of(cfg, stack_plan(cfg, jobs=2)) == [{300}, {90}, {20}]
     assert run_efficiency_grid(cfg, jobs=1) == run_efficiency_grid(cfg, jobs=2)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fig2=st.booleans(), runs=st.integers(1, 3),
+       sizes=st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True),
+       batch_size=st.integers(1, 64), test_size=st.integers(50, 500))
+def test_grid_rows_and_csv_bytes_do_not_depend_on_jobs(tmp_path, fig2, runs, sizes, batch_size, test_size):
+    shared = dict(runs=runs, batch_size=batch_size, epochs=1, test_size=test_size)
+    if fig2:
+        cfg = EfficiencyGridConfig(training_sizes=tuple(sizes), **shared)
+    else:  # one train size
+        cfg = FlipRatioGridConfig(train_size=sizes[0], **shared)
+
+    def written(rows):
+        write_results_csv(rows, tmp_path / "results.csv")
+        write_summary_csv(summarize(rows), tmp_path / "summary.csv")
+        return (tmp_path / "results.csv").read_bytes(), (tmp_path / "summary.csv").read_bytes()
+
+    rows = run_grid(cfg, jobs=1)
+    expected = written(rows)
+    for jobs in (2, 3):
+        other = run_grid(cfg, jobs=jobs)
+        assert other == rows
+        assert written(other) == expected
 
 
 # ------------------------------------------------------------------ stack plan

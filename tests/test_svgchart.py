@@ -1,5 +1,7 @@
 """Tests for the dependency-free SVG line chart renderer."""
 
+import re
+import signal
 from xml.dom import minidom
 
 import pytest
@@ -117,6 +119,32 @@ def test_single_point_series_renders():
 def test_constant_series_renders():
     svg = render([Series(label="flat", xs=(1.0, 2.0, 3.0), ys=(0.7, 0.7, 0.7))])
     assert svg.count("<circle ") == 3
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ((1e300,), (0.5,)),  # 1e300 +- 0.5 is 1e300: the span was 0 and the scale divided by it
+    ((1.0, 2.0), (1e300, 1e300)),
+    ((-1e300,), (-1e300,)),
+    ((2.0**52,), (0.5,)),  # +- 0.5 came to an ulp or two, and a tick step too small to add looped
+    ((2.0**52 + 1,), (0.5,)),
+    ((1.0,), (2.0**48 + 0.0625,)),
+    ((2.0**52, 2.0**52 + 2), (0.5, 0.6)),
+])
+def test_a_large_narrow_axis_renders_inside_the_plot(xs, ys):
+    def expire(signum, frame):  # a tick loop that never ends grows its list by ~200 MB/s
+        raise TimeoutError("render_line_chart ran for over a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        svg = render([Series(label="big", xs=xs, ys=ys)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    points = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg)
+    assert len(points) == len(xs)
+    for cx, cy in points:  # inside the plot rectangle of a 720x480 chart
+        assert 72 <= float(cx) <= 720 - 180 and 48 <= float(cy) <= 480 - 58
 
 
 def test_write_line_chart_matches_render(tmp_path):

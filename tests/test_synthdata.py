@@ -572,6 +572,18 @@ def test_csv_parse_holds_the_dataset_once(tmp_path, traced_peak):
     assert peak <= 3.0 * path.stat().st_size
 
 
+def test_csv_parse_decodes_the_file_once(tmp_path, traced_peak):
+    # the raw bytes and the typed columns: a UTF-8 check that decoded the whole
+    # file into a str it then dropped peaked at 2.00x the file's bytes
+    path = tmp_path / "data.csv"
+    data = flip_labels(sample_dataset(make_random_problem(48, 2.5), 50_000, 49), NoiseParams(0.2, 0.1), 50)
+    save_dataset_csv(data, path)
+    os.remove(f"{path}.bin")
+    loaded, peak = traced_peak(lambda: load_dataset_csv(path))
+    assert_same_dataset(loaded, data)
+    assert peak <= 1.6 * path.stat().st_size
+
+
 @pytest.mark.parametrize("content,expected", [
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n", None),
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\nbad,2.0,0,1\n", "line 3: could not convert"),
