@@ -18,13 +18,48 @@ Bernoulli rate estimated from flipped coin tosses.
 Decisions everywhere in this package compare a probability (or score)
 against a threshold with ``>=`` and assign class 1 on ties.
 
-All functions are pure; nothing here owns random state.
+All functions are pure; nothing here owns random state.  ``cast_fields``
+is the package's one number rule, for these types, the configs and charts.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
+from typing import get_args, get_origin
 
 import numpy as np
+
+
+def _checked_number(name: str, kind: type, value):
+    """value cast to kind (int or float); booleans and non-integral or non-finite values raise."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):  # numpy numbers too
+        try:
+            cast = kind(value)  # int(inf) and float(10**400) overflow, int(nan) fails
+        except (OverflowError, ValueError):
+            pass
+        else:
+            if (cast == value) if kind is int else math.isfinite(cast):
+                return cast
+    expected = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"bad value for {name!r}: expected {expected}, got {value!r}")
+
+
+def cast_fields(obj) -> None:
+    """Cast each int or float field of a frozen dataclass to its type, with _checked_number; leave the rest.
+
+    A ``tuple[kind, ...]`` field takes a list or tuple, and a ``kind | None`` field None too.
+    """
+    for field in fields(obj):
+        value, args = getattr(obj, field.name), get_args(field.type) or (field.type,)
+        if args[0] not in (int, float):  # a label or a flag: not a number
+            continue
+        if get_origin(field.type) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"bad value for {field.name!r}: expected a list of numbers, got {value!r}")
+            value = tuple(_checked_number(field.name, args[0], v) for v in value)
+        elif value is not None or type(None) not in args:
+            value = _checked_number(field.name, args[0], value)
+        object.__setattr__(obj, field.name, value)
 
 
 @dataclass(frozen=True)
@@ -39,8 +74,7 @@ class NoiseParams:
     gamma0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma1", float(self.gamma1))
-        object.__setattr__(self, "gamma0", float(self.gamma0))
+        cast_fields(self)
         if not 0.0 <= self.gamma1 < 1.0:
             raise ValueError(f"gamma1 must lie in [0, 1), got {self.gamma1}")
         if not 0.0 <= self.gamma0 < 1.0:
@@ -69,7 +103,7 @@ class ClassPriors:
     p1: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p1", float(self.p1))
+        cast_fields(self)
         if not 0.0 <= self.p1 <= 1.0:
             raise ValueError(f"p1 must lie in [0, 1], got {self.p1}")
 

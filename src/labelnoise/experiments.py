@@ -24,6 +24,7 @@ each run's test set and ceiling once; --jobs 1 runs both phases inline.  Rows
 are sorted before they are returned, so the output is byte-identical for any --jobs value.
 """
 
+import csv
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import mlp, synthdata
 from .atomic import atomic_open
-from .calculus import ClassPriors, NoiseParams, propagate_priors, threshold_from_priors
+from .calculus import ClassPriors, NoiseParams, cast_fields, propagate_priors, threshold_from_priors
 from .seeding import derive_seed
 
 
@@ -46,7 +47,7 @@ def _noise_for_ratio(n: float, ratio: float) -> NoiseParams:
 class GridConfig:
     """The fields and checks both grids share; a grid subclass adds its axes and cells(run).
 
-    Each field is cast to its declared type (``mlp.cast_fields``), so a
+    Each field is cast to its declared type (``calculus.cast_fields``), so a
     config built in Python gets the checks a config file gets: booleans,
     non-integral integers, non-finite numbers and empty or non-list
     sequences raise a ValueError naming the field.  cells(run) lists one
@@ -64,7 +65,7 @@ class GridConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        mlp.cast_fields(self)
+        cast_fields(self)
         for field in fields(self):
             if getattr(self, field.name) == ():
                 raise ValueError(f"bad value for {field.name!r}: expected a non-empty list of numbers")
@@ -76,8 +77,11 @@ class GridConfig:
             raise ValueError(f"separation_scale must be > 0, got {self.separation_scale}")
         for n in self.noise_levels:
             _noise_for_ratio(n, 1.0)  # rejects n outside [0, 1)
-        mlp.TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                        learning_rate=self.learning_rate, momentum=self.momentum)
+        self.train_config()
+
+    def train_config(self) -> mlp.TrainConfig:  # every network of the grid trains with it
+        return mlp.TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
+                               learning_rate=self.learning_rate, momentum=self.momentum)
 
 
 @dataclass(frozen=True)
@@ -190,9 +194,7 @@ def _train_stack(cfg: GridConfig, problems: dict, stack: list[tuple]) -> list[ml
         noisy = synthdata.flip_labels(clean, noise, derive_seed(cell_seed, "flip"))
         x[k], targets[k] = noisy.x, noisy.z_observed
         seeds.append(derive_seed(cell_seed, "init"))
-    tcfg = mlp.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                           learning_rate=cfg.learning_rate, momentum=cfg.momentum)
-    return [result.params for result in mlp.train_stack(x, targets, mlp.Architecture(), tcfg, seeds)]
+    return [result.params for result in mlp.train_stack(x, targets, mlp.Architecture(), cfg.train_config(), seeds)]
 
 
 def _score_chunk(cfg: GridConfig, problems: dict, chunk: list[tuple]) -> list[ResultRow]:
@@ -269,14 +271,6 @@ def _sem(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_results_csv(rows: list[ResultRow], path) -> None:
     _write_csv(path, RESULTS_FIELDS, rows)
 
@@ -287,6 +281,5 @@ def write_summary_csv(rows: list[SummaryRow], path) -> None:
 
 def _write_csv(path, fields: tuple[str, ...], rows) -> None:
     with atomic_open(path) as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(getattr(row, name)) for name in fields) + "\n")
+        values = ([getattr(row, name) for name in fields] for row in rows)
+        csv.writer(fh, lineterminator="\n").writerows([fields, *values])

@@ -57,14 +57,13 @@ take their size cap from the same rule.
 """
 
 import math
-import numbers
-from dataclasses import dataclass, fields
-from typing import NamedTuple, get_args, get_origin
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .atomic import atomic_open, decode_utf8
-from .calculus import as_labels, logistic
+from .calculus import as_labels, cast_fields, logistic
 from .seeding import make_rng
 
 _PROB_LO = np.nextafter(0.0, 1.0)
@@ -84,37 +83,6 @@ class TrainingDivergedError(RuntimeError):
 
 class ModelFormatError(ValueError):
     """A saved-model file failed to parse; the message carries the line number."""
-
-
-def _checked_number(name: str, kind: type, value):
-    """value cast to kind (int or float); booleans and non-integral or non-finite values raise."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):  # numpy numbers too
-        try:
-            cast = kind(value)  # int(inf) and float(10**400) overflow, int(nan) fails
-        except (OverflowError, ValueError):
-            pass
-        else:
-            if (cast == value) if kind is int else math.isfinite(cast):
-                return cast
-    expected = "an integer" if kind is int else "a finite number"
-    raise ValueError(f"bad value for {name!r}: expected {expected}, got {value!r}")
-
-
-def cast_fields(config) -> None:
-    """Cast each field of a frozen dataclass to its declared type, with _checked_number.
-
-    A ``tuple[kind, ...]`` field takes a list or tuple, and a ``kind | None`` field None too.
-    """
-    for field in fields(config):
-        value = getattr(config, field.name)
-        args = get_args(field.type)
-        if get_origin(field.type) is tuple:
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"bad value for {field.name!r}: expected a list of numbers, got {value!r}")
-            value = tuple(_checked_number(field.name, args[0], v) for v in value)
-        elif value is not None or type(None) not in args:
-            value = _checked_number(field.name, args[0] if args else field.type, value)
-        object.__setattr__(config, field.name, value)
 
 
 @dataclass(frozen=True)

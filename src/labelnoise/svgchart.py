@@ -6,9 +6,11 @@ Output is deterministic for identical input.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .atomic import atomic_open
+from .calculus import cast_fields
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
@@ -21,8 +23,7 @@ class Series:
     dashed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(float(v) for v in self.xs))
-        object.__setattr__(self, "ys", tuple(float(v) for v in self.ys))
+        cast_fields(self)
         if len(self.xs) != len(self.ys) or not self.xs:
             raise ValueError("a series needs matching, non-empty xs and ys")
 
@@ -30,7 +31,7 @@ class Series:
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi / 2 - lo / 2) / target * 2  # halves: the span of two large values overflows
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -41,7 +42,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
-        if t + step == t:  # a step below half an ulp of t: no further tick is representable
+        if not t < t + step < math.inf:  # a step below half an ulp of t, or past the largest float
             break
         t += step
     return ticks
@@ -67,11 +68,12 @@ def _fmt_tick(v: float) -> str:
 
 def _axis_range(lo: float, hi: float, half: float, pad: float) -> tuple[float, float]:
     """lo..hi widened by pad times its width; one value v spans v +- half first, or v +- 4 ulps."""
+    top = sys.float_info.max
     if hi == lo:  # 4 ulps where rounding loses half: 1e300 +- 0.5 is 1e300
         half = half if lo - half < lo < lo + half else 4 * math.ulp(lo)
-        lo, hi = lo - half, hi + half
-    pad *= hi - lo
-    return lo - pad, hi + pad
+        lo, hi = max(lo - half, -top), min(hi + half, top)
+    pad *= hi / 2 - lo / 2  # half the width, which is finite
+    return max(lo - 2 * pad, -top), min(hi + 2 * pad, top)  # kept inside the finite floats
 
 
 def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label: str,
@@ -93,10 +95,10 @@ def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label
     y_lo, y_hi = _axis_range(min(all_y), max(all_y), 0.05, 0.06)
 
     def sx(v: float) -> float:
-        return left + (xt(v) - x_lo) / (x_hi - x_lo) * px
+        return left + (xt(v) / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * px  # halves, as in _axis_range
 
     def sy(v: float) -> float:
-        return top + py - (v - y_lo) / (y_hi - y_lo) * py
+        return top + py - (v / 2 - y_lo / 2) / (y_hi / 2 - y_lo / 2) * py
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

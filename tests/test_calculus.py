@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from labelnoise.calculus import (
     threshold_from_shift,
 )
 from labelnoise.seeding import make_rng
+from labelnoise.svgchart import Series
 
 
 def random_noise(rng, max_total=0.98):
@@ -57,6 +60,31 @@ def test_noise_params_accepts_boundaries():
 def test_class_priors_rejects_invalid(p1):
     with pytest.raises(ValueError):
         ClassPriors(p1)
+
+
+# field -> a maker of the value type that holds v in that field: flip rates, prior, chart points
+NUMBER_FIELDS = {
+    "gamma1": lambda v: NoiseParams(v, 0.1),
+    "gamma0": lambda v: NoiseParams(0.1, v),
+    "p1": ClassPriors,
+    "xs": lambda v: Series("s", (v,), (0.5,)),
+    "ys": lambda v: Series("s", (0.5,), (v,)),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.1", Decimal("0.5"), math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_flip_rates_priors_and_chart_points_take_only_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"^bad value for '{field}': expected a finite number, got "):
+        NUMBER_FIELDS[field](value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.25), np.int64(0), Fraction(1, 4)])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_numpy_scalars_and_fractions_are_numbers(field, value):
+    got = getattr(NUMBER_FIELDS[field](value), field)
+    got = got[0] if field in ("xs", "ys") else got
+    assert type(got) is float and got == float(value)
 
 
 def test_class_priors_p0_is_derived_complement():

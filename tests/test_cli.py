@@ -93,6 +93,15 @@ def test_threshold_rejects_impossible_noise(capsys):
     assert "error:" in err
 
 
+def test_a_flip_rate_that_is_not_a_finite_number_exits_two_and_writes_nothing(capsys, tmp_path):
+    expected = "error: bad value for 'gamma1': expected a finite number"
+    code, _, err = run_cli(capsys, "threshold", "--gamma1", "nan", "--gamma0", "0.1")
+    assert code == 2 and expected in err
+    code, _, err = run_cli(capsys, "gen", "--out", str(tmp_path / "x.csv"), "--n", "5", "--gamma1", "inf")
+    assert code == 2 and expected in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------- gen / train / eval
 
 def test_gen_train_eval_pipeline_on_an_easy_problem(capsys, tmp_path):

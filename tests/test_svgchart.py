@@ -32,6 +32,12 @@ def test_series_rejects_mismatched_or_empty_data(xs, ys):
         Series(label="bad", xs=xs, ys=ys)
 
 
+@pytest.mark.parametrize("xs", [iter([1.0]), 1.0, {1.0}])
+def test_series_values_are_a_list_or_a_tuple(xs):
+    with pytest.raises(ValueError, match="^bad value for 'xs': expected a list of numbers"):
+        Series(label="bad", xs=xs, ys=(0.5,))
+
+
 def test_render_rejects_empty_series_list():
     with pytest.raises(ValueError, match="at least one series"):
         render([])
@@ -129,6 +135,9 @@ def test_constant_series_renders():
     ((2.0**52 + 1,), (0.5,)),
     ((1.0,), (2.0**48 + 0.0625,)),
     ((2.0**52, 2.0**52 + 2), (0.5, 0.6)),
+    ((-1e308, 1e308), (0.5, 0.6)),  # a span past the largest float overflowed to inf
+    ((1.0, 2.0), (-1e308, 1e308)),
+    ((1.7976931348623157e308,), (0.5,)),  # the largest float: its widening reached inf
 ])
 def test_a_large_narrow_axis_renders_inside_the_plot(xs, ys):
     def expire(signum, frame):  # a tick loop that never ends grows its list by ~200 MB/s
