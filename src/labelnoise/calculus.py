@@ -19,15 +19,24 @@ Decisions everywhere in this package compare a probability (or score)
 against a threshold with ``>=`` and assign class 1 on ties.
 
 All functions are pure; nothing here owns random state.  ``cast_fields``
-is the package's one number rule, for these types, the configs and charts.
+is the package's one number and range rule, for these types, the configs
+and charts; the ranges are the five ruled kinds, ``Count`` to ``Probability``.
 """
 
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import get_args, get_origin
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
+
+
+# the ruled kinds: Annotated[type, rule text, test]; cast_fields raises "<field> must <text>, got <value>"
+Count = Annotated[int, "be >= 1", lambda v: v >= 1]
+Positive = Annotated[float, "be > 0", lambda v: v > 0.0]
+NonNegative = Annotated[float, "be >= 0", lambda v: v >= 0.0]
+Rate = Annotated[float, "lie in [0, 1)", lambda v: 0.0 <= v < 1.0]
+Probability = Annotated[float, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0]
 
 
 def _checked_number(name: str, kind: type, value):
@@ -47,18 +56,25 @@ def _checked_number(name: str, kind: type, value):
 def cast_fields(obj) -> None:
     """Cast each int or float field of a frozen dataclass to its type, with _checked_number; leave the rest.
 
-    A ``tuple[kind, ...]`` field takes a list or tuple, and a ``kind | None`` field None too.
+    A ``tuple[kind, ...]`` field takes a list or tuple, and a ``kind | None`` field None too.  A ruled
+    kind (``Count`` and the others above) then checks the range of the value, or of every item of a tuple.
     """
     for field in fields(obj):
-        value, args = getattr(obj, field.name), get_args(field.type) or (field.type,)
-        if args[0] not in (int, float):  # a label or a flag: not a number
+        value, kind = getattr(obj, field.name), field.type
+        many, optional = get_origin(kind) is tuple, type(None) in get_args(kind)
+        if many or optional:
+            kind = get_args(kind)[0]
+        kind, *rule = get_args(kind) if get_origin(kind) is Annotated else (kind,)
+        if kind not in (int, float):  # a label or a flag: not a number
             continue
-        if get_origin(field.type) is tuple:
+        if many:
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"bad value for {field.name!r}: expected a list of numbers, got {value!r}")
-            value = tuple(_checked_number(field.name, args[0], v) for v in value)
-        elif value is not None or type(None) not in args:
-            value = _checked_number(field.name, args[0], value)
+            value = tuple(_checked_number(field.name, kind, v) for v in value)
+        elif value is not None or not optional:
+            value = _checked_number(field.name, kind, value)
+        if rule and value is not None and not all(map(rule[1], value if many else (value,))):
+            raise ValueError(f"{field.name} must {rule[0]}, got {value}")
         object.__setattr__(obj, field.name, value)
 
 
@@ -70,15 +86,11 @@ class NoiseParams:
     carry no information about the clean ones and nothing is recoverable.
     """
 
-    gamma1: float
-    gamma0: float
+    gamma1: Rate
+    gamma0: Rate
 
     def __post_init__(self):
         cast_fields(self)
-        if not 0.0 <= self.gamma1 < 1.0:
-            raise ValueError(f"gamma1 must lie in [0, 1), got {self.gamma1}")
-        if not 0.0 <= self.gamma0 < 1.0:
-            raise ValueError(f"gamma0 must lie in [0, 1), got {self.gamma0}")
         if not self.gamma1 + self.gamma0 < 1.0:
             raise ValueError(
                 "total noise gamma1 + gamma0 must be < 1 for the label "
@@ -100,12 +112,10 @@ class NoiseParams:
 class ClassPriors:
     """Binary class priors; p0 is always the derived complement 1 - p1."""
 
-    p1: float
+    p1: Probability
 
     def __post_init__(self):
         cast_fields(self)
-        if not 0.0 <= self.p1 <= 1.0:
-            raise ValueError(f"p1 must lie in [0, 1], got {self.p1}")
 
     @property
     def p0(self) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import mlp, synthdata
 from .atomic import atomic_open
-from .calculus import ClassPriors, NoiseParams, cast_fields, propagate_priors, threshold_from_priors
+from .calculus import Count, NoiseParams, Positive, Rate, cast_fields, propagate_priors, threshold_from_priors
 from .seeding import derive_seed
 
 
@@ -47,18 +47,18 @@ def _noise_for_ratio(n: float, ratio: float) -> NoiseParams:
 class GridConfig:
     """The fields and checks both grids share; a grid subclass adds its axes and cells(run).
 
-    Each field is cast to its declared type (``calculus.cast_fields``), so a
-    config built in Python gets the checks a config file gets: booleans,
-    non-integral integers, non-finite numbers and empty or non-list
-    sequences raise a ValueError naming the field.  cells(run) lists one
-    run's (experiment, noise, ratio, train_size, cell_seed) tuples.
+    Each field is cast to its declared type and range (``calculus.cast_fields``;
+    a subclass that redeclares a field repeats its ruled kind), so a config
+    built in Python gets the checks a config file gets: a bad value raises a
+    ValueError naming the field.  cells(run) lists one run's (experiment,
+    noise, ratio, train_size, cell_seed) tuples.
     """
 
-    noise_levels: tuple[float, ...]
-    runs: int
+    noise_levels: tuple[Rate, ...]
+    runs: Count
     base_seed: int
-    test_size: int = 20000
-    separation_scale: float = 2.5
+    test_size: Count = 20000
+    separation_scale: Positive = 2.5
     epochs: int = 40
     batch_size: int = 32
     learning_rate: float = 0.05
@@ -69,14 +69,6 @@ class GridConfig:
         for field in fields(self):
             if getattr(self, field.name) == ():
                 raise ValueError(f"bad value for {field.name!r}: expected a non-empty list of numbers")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.test_size < 1:
-            raise ValueError(f"test_size must be >= 1, got {self.test_size}")
-        if not self.separation_scale > 0.0:
-            raise ValueError(f"separation_scale must be > 0, got {self.separation_scale}")
-        for n in self.noise_levels:
-            _noise_for_ratio(n, 1.0)  # rejects n outside [0, 1)
         self.train_config()
 
     def train_config(self) -> mlp.TrainConfig:  # every network of the grid trains with it
@@ -86,15 +78,10 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class EfficiencyGridConfig(GridConfig):
-    noise_levels: tuple[float, ...] = (0.0, 0.2, 0.4, 0.8)
-    training_sizes: tuple[int, ...] = (200, 2000, 20000)
-    runs: int = 10
+    noise_levels: tuple[Rate, ...] = (0.0, 0.2, 0.4, 0.8)
+    training_sizes: tuple[Count, ...] = (200, 2000, 20000)
+    runs: Count = 10
     base_seed: int = 20250
-
-    def __post_init__(self):
-        super().__post_init__()
-        if any(s < 1 for s in self.training_sizes):
-            raise ValueError(f"training_sizes must be >= 1, got {self.training_sizes}")
 
     def cells(self, run: int) -> list[tuple]:
         # symmetric split; the (undefined) 0/0 ratio at n=0 is reported as 1.0 too
@@ -106,18 +93,14 @@ class EfficiencyGridConfig(GridConfig):
 
 @dataclass(frozen=True)
 class FlipRatioGridConfig(GridConfig):
-    noise_levels: tuple[float, ...] = (0.1, 0.4)
-    flip_ratios: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
-    runs: int = 20
-    train_size: int = 4000
+    noise_levels: tuple[Rate, ...] = (0.1, 0.4)
+    flip_ratios: tuple[Positive, ...] = (1.0, 2.0, 4.0, 8.0)
+    runs: Count = 20
+    train_size: Count = 4000
     base_seed: int = 20251
 
     def __post_init__(self):
         super().__post_init__()
-        if self.train_size < 1:
-            raise ValueError(f"train_size must be >= 1, got {self.train_size}")
-        if any(not r > 0.0 for r in self.flip_ratios):
-            raise ValueError(f"flip_ratios must be > 0, got {self.flip_ratios}")
         for n in self.noise_levels:
             for r in self.flip_ratios:
                 _noise_for_ratio(n, r)  # rejects any (n, ratio) with invalid flip rates
@@ -200,8 +183,8 @@ def _train_stack(cfg: GridConfig, problems: dict, stack: list[tuple]) -> list[ml
 def _score_chunk(cfg: GridConfig, problems: dict, chunk: list[tuple]) -> list[ResultRow]:
     """Rows of a run-major slice of ((run, cell), params) pairs; draws each run's test set once."""
     rows = []
-    priors = ClassPriors(0.5)
     for run, cells in groupby(chunk, key=lambda pair: pair[0][0]):
+        priors = problems[run].clean_priors  # of the training data and the test set alike
         test = synthdata.sample_dataset(problems[run], cfg.test_size,
                                         derive_seed(cfg.base_seed, "test", run))
         ceiling = synthdata.bayes_accuracy(problems[run], test)
@@ -222,7 +205,7 @@ def run_grid(cfg: GridConfig, jobs: int = 1) -> list[ResultRow]:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(run, cell) for run in range(cfg.runs) for cell in cfg.cells(run)]
     problems = {run: synthdata.make_random_problem(derive_seed(cfg.base_seed, "problem", run),
-                                                   cfg.separation_scale, ClassPriors(0.5).p1)
+                                                   cfg.separation_scale)
                 for run in range(cfg.runs)}
     stacks = _plan_stacks(cfg, tasks, jobs)
     if jobs > 1:  # imported here: it pulls in multiprocessing, socket and subprocess

@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open, decode_utf8
-from .calculus import as_labels, cast_fields, logistic
+from .calculus import Count, NonNegative, Positive, Rate, as_labels, cast_fields, logistic
 from .seeding import make_rng
 
 _PROB_LO = np.nextafter(0.0, 1.0)
@@ -89,15 +89,11 @@ class ModelFormatError(ValueError):
 class Architecture:
     """Layer plan: input width, tanh hidden layer widths; output is 1 score."""
 
-    input_dim: int = 2
-    hidden_sizes: tuple[int, ...] = (15, 15)
+    input_dim: Count = 2
+    hidden_sizes: tuple[Count, ...] = (15, 15)
 
     def __post_init__(self):
         cast_fields(self)
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes must be >= 1, got {self.hidden_sizes}")
 
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_sizes, 1)
@@ -139,13 +135,13 @@ class Gradients:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
+    epochs: Count = 50
+    batch_size: Count = 32
+    learning_rate: Positive = 0.05
+    momentum: Rate = 0.9
+    weight_decay: NonNegative = 0.0
     init_seed: int = 0
-    early_stop_tol: float | None = None  # stop when an epoch improves the loss by less
+    early_stop_tol: NonNegative | None = None  # stop when an epoch improves the loss by less
     average_tail: int = 0  # >0: return the average of the last k epoch snapshots
     # tail averaging damps the stationary noise of constant-step SGD; it is
     # what makes training through near-total label noise reproducible, where
@@ -153,18 +149,6 @@ class TrainConfig:
 
     def __post_init__(self):
         cast_fields(self)
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.early_stop_tol is not None and self.early_stop_tol < 0.0:
-            raise ValueError(f"early_stop_tol must be >= 0, got {self.early_stop_tol}")
         if not 0 <= self.average_tail <= self.epochs:
             raise ValueError(f"average_tail must lie in [0, epochs], got {self.average_tail}")
 

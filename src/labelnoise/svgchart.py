@@ -49,12 +49,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
-    """Powers of ten in [lo, hi]; where fewer than two fit, 2x and 5x too, then every mantissa."""
-    lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
+    """Powers of ten with exponents in [lo, hi]; where fewer than two fit, 2x and 5x too, then every mantissa."""
+    exponents = range(max(math.floor(lo), -307), min(math.ceil(hi), 308) + 1)  # those of normal floats
     for mantissas in ((1,), (1, 2, 5), range(1, 10)):
-        ticks = [m * 10.0 ** e for e in range(lo_e, hi_e + 1) for m in mantissas
-                 if lo <= m * 10.0 ** e <= hi * (1 + 1e-9)]
+        ticks = [m * 10.0 ** e for e in exponents for m in mantissas  # a tick past the largest float: log10 inf
+                 if lo <= math.log10(m * 10.0 ** e) <= hi + 1e-9]
         if len(ticks) >= 2:
             break
     return ticks
@@ -107,7 +106,7 @@ def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label
         f'<text x="{left + px / 2:.1f}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>',
     ]
 
-    x_ticks = (_log_ticks(10 ** x_lo, 10 ** x_hi) if x_log else _nice_ticks(x_lo, x_hi))
+    x_ticks = _log_ticks(x_lo, x_hi) if x_log else _nice_ticks(x_lo, x_hi)
     y_ticks = _nice_ticks(y_lo, y_hi)
     for v in x_ticks:
         gx = sx(v)

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from labelnoise.calculus import (
     threshold_from_priors,
     threshold_from_shift,
 )
+from labelnoise.experiments import EfficiencyGridConfig, FlipRatioGridConfig
+from labelnoise.mlp import Architecture, TrainConfig
 from labelnoise.seeding import make_rng
 from labelnoise.svgchart import Series
 
@@ -85,6 +88,51 @@ def test_numpy_scalars_and_fractions_are_numbers(field, value):
     got = getattr(NUMBER_FIELDS[field](value), field)
     got = got[0] if field in ("xs", "ys") else got
     assert type(got) is float and got == float(value)
+
+
+# each ruled kind's rule text, and values just outside its range
+RULES = {
+    "count": ("be >= 1", [0]),
+    "positive": ("be > 0", [0.0]),
+    "non-negative": ("be >= 0", [-5e-324]),
+    "rate": ("lie in [0, 1)", [-5e-324, 1.0]),
+    "probability": ("lie in [0, 1]", [-5e-324, 1.0000000000000002]),
+}
+GRID_FIELDS = dict(noise_levels="rate", runs="count", test_size="count", separation_scale="positive")
+# every value type's ruled fields and their kinds, both grid presets included
+RULED_FIELDS = {
+    NoiseParams: dict(gamma1="rate", gamma0="rate"),
+    ClassPriors: dict(p1="probability"),
+    Architecture: dict(input_dim="count", hidden_sizes="count"),
+    TrainConfig: dict(epochs="count", batch_size="count", learning_rate="positive", momentum="rate",
+                      weight_decay="non-negative", early_stop_tol="non-negative"),
+    EfficiencyGridConfig: dict(GRID_FIELDS, training_sizes="count"),
+    FlipRatioGridConfig: dict(GRID_FIELDS, flip_ratios="positive", train_size="count"),
+}
+LIST_FIELDS = {"hidden_sizes", "noise_levels", "training_sizes", "flip_ratios"}
+REQUIRED = {NoiseParams: dict(gamma1=0.1, gamma0=0.1), ClassPriors: dict(p1=0.5)}
+RULED = [(cls, field, kind) for cls, ruled in RULED_FIELDS.items() for field, kind in ruled.items()]
+
+
+def build_with(cls, field, value):
+    """cls built from valid values but value in field, one-item tuple for a list field."""
+    return cls(**{**REQUIRED.get(cls, {}), field: (value,) if field in LIST_FIELDS else value})
+
+
+@pytest.mark.parametrize("cls, field, kind, value", [
+    (cls, field, kind, value) for cls, field, kind in RULED for value in RULES[kind][1]
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_a_value_just_outside_a_ruled_range_is_reported_with_the_rule(cls, field, kind, value):
+    shown = (value,) if field in LIST_FIELDS else value  # a list field shows the whole tuple
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must {RULES[kind][0]}, got {shown}')}$"):
+        build_with(cls, field, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, True])
+@pytest.mark.parametrize("cls, field", [(cls, field) for cls, field, _ in RULED], ids=lambda v: getattr(v, "__name__", v))
+def test_nan_and_true_in_a_ruled_field_are_not_numbers(cls, field, value):
+    with pytest.raises(ValueError, match=f"^bad value for '{field}': expected "):
+        build_with(cls, field, value)
 
 
 def test_class_priors_p0_is_derived_complement():

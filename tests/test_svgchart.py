@@ -140,13 +140,27 @@ def test_constant_series_renders():
     ((1.7976931348623157e308,), (0.5,)),  # the largest float: its widening reached inf
 ])
 def test_a_large_narrow_axis_renders_inside_the_plot(xs, ys):
+    assert_renders_inside_the_plot(xs, ys)
+
+
+@pytest.mark.parametrize("xs", [
+    (1.0, 1e308),  # 10 ** the padded top exponent overflowed
+    (1e-300, 1e300),
+    (1e-320, 1.0),  # 10 ** the padded bottom exponent came to 0, whose log10 failed
+    (5e-324,),
+])
+def test_an_extreme_log_axis_renders_inside_the_plot(xs):
+    assert_renders_inside_the_plot(xs, tuple(0.5 for _ in xs), x_log=True)
+
+
+def assert_renders_inside_the_plot(xs, ys, **kwargs):
     def expire(signum, frame):  # a tick loop that never ends grows its list by ~200 MB/s
         raise TimeoutError("render_line_chart ran for over a second")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        svg = render([Series(label="big", xs=xs, ys=ys)])
+        svg = render([Series(label="big", xs=xs, ys=ys)], **kwargs)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
