@@ -18,9 +18,10 @@ Bernoulli rate estimated from flipped coin tosses.
 Decisions everywhere in this package compare a probability (or score)
 against a threshold with ``>=`` and assign class 1 on ties.
 
-All functions are pure; nothing here owns random state.  ``cast_fields``
-is the package's one number and range rule, for these types, the configs
-and charts; the ranges are the five ruled kinds, ``Count`` to ``Probability``.
+All functions are pure; nothing here owns random state.  ``checked`` is
+the package's one value rule: every number field (``cast_fields``), flag and
+argument with a range is cast and checked by it, and the ranges are the six
+ruled kinds, ``Count`` to ``Interior``.
 """
 
 import math
@@ -31,12 +32,13 @@ from typing import Annotated, get_args, get_origin
 import numpy as np
 
 
-# the ruled kinds: Annotated[type, rule text, test]; cast_fields raises "<field> must <text>, got <value>"
+# the ruled kinds: Annotated[type, rule text, test]; checked raises "<name> must <text>, got <value>"
 Count = Annotated[int, "be >= 1", lambda v: v >= 1]
 Positive = Annotated[float, "be > 0", lambda v: v > 0.0]
 NonNegative = Annotated[float, "be >= 0", lambda v: v >= 0.0]
 Rate = Annotated[float, "lie in [0, 1)", lambda v: 0.0 <= v < 1.0]
 Probability = Annotated[float, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0]
+Interior = Annotated[float, "lie strictly inside (0, 1)", lambda v: 0.0 < v < 1.0]
 
 
 def _checked_number(name: str, kind: type, value):
@@ -53,29 +55,33 @@ def _checked_number(name: str, kind: type, value):
     raise ValueError(f"bad value for {name!r}: expected {expected}, got {value!r}")
 
 
-def cast_fields(obj) -> None:
-    """Cast each int or float field of a frozen dataclass to its type, with _checked_number; leave the rest.
+def checked(name: str, kind, value):
+    """value of the field, flag or argument called name, cast to kind (int, float or a ruled kind) and checked.
 
-    A ``tuple[kind, ...]`` field takes a list or tuple, and a ``kind | None`` field None too.  A ruled
-    kind (``Count`` and the others above) then checks the range of the value, or of every item of a tuple.
+    ``tuple[kind, ...]`` takes a list or tuple of them and ``kind | None`` None too; a label or a flag passes as it is.
+    A bool, NaN, ±inf or non-integral int raises ``bad value for '<name>'``, a number out of range ``<name> must …``.
     """
+    many, optional = get_origin(kind) is tuple, type(None) in get_args(kind)
+    if many or optional:
+        kind = get_args(kind)[0]
+    kind, *rule = get_args(kind) if get_origin(kind) is Annotated else (kind,)
+    if kind not in (int, float) or (optional and value is None):
+        return value
+    if many:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"bad value for {name!r}: expected a list of numbers, got {value!r}")
+        value = tuple(_checked_number(name, kind, v) for v in value)
+    else:
+        value = _checked_number(name, kind, value)
+    if rule and not all(map(rule[1], value if many else (value,))):
+        raise ValueError(f"{name} must {rule[0]}, got {value}")
+    return value
+
+
+def cast_fields(obj) -> None:
+    """Replace each field of a frozen dataclass by ``checked`` of it under its declared type."""
     for field in fields(obj):
-        value, kind = getattr(obj, field.name), field.type
-        many, optional = get_origin(kind) is tuple, type(None) in get_args(kind)
-        if many or optional:
-            kind = get_args(kind)[0]
-        kind, *rule = get_args(kind) if get_origin(kind) is Annotated else (kind,)
-        if kind not in (int, float):  # a label or a flag: not a number
-            continue
-        if many:
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"bad value for {field.name!r}: expected a list of numbers, got {value!r}")
-            value = tuple(_checked_number(field.name, kind, v) for v in value)
-        elif value is not None or not optional:
-            value = _checked_number(field.name, kind, value)
-        if rule and value is not None and not all(map(rule[1], value if many else (value,))):
-            raise ValueError(f"{field.name} must {rule[0]}, got {value}")
-        object.__setattr__(obj, field.name, value)
+        object.__setattr__(obj, field.name, checked(field.name, field.type, getattr(obj, field.name)))
 
 
 @dataclass(frozen=True)
@@ -133,9 +139,7 @@ def corrupt_posterior(p: float, noise: NoiseParams) -> float:
     Returns (1 - gamma1 - gamma0) * p + gamma0; the image of [0, 1] is
     the band [gamma0, 1 - gamma1].
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"clean posterior must lie in [0, 1], got {p}")
-    return noise.slope * p + noise.gamma0
+    return noise.slope * checked("clean posterior", Probability, p) + noise.gamma0
 
 
 def recover_posterior(p_noisy: float, noise: NoiseParams) -> float:
@@ -191,8 +195,7 @@ def logit_shift(train_prior: ClassPriors, eval_prior: ClassPriors) -> float:
     rejected.
     """
     for name, prior in (("train_prior", train_prior), ("eval_prior", eval_prior)):
-        if not 0.0 < prior.p1 < 1.0:
-            raise ValueError(f"{name}.p1 must lie strictly inside (0, 1), got {prior.p1}")
+        checked(f"{name}.p1", Interior, prior.p1)
     return math.log(train_prior.p1 / train_prior.p0) - math.log(eval_prior.p1 / eval_prior.p0)
 
 
@@ -213,10 +216,7 @@ def threshold_from_shift(delta: float) -> float:
 
     That is logistic(delta); the shift must be finite.
     """
-    delta = float(delta)
-    if not math.isfinite(delta):
-        raise ValueError(f"score shift must be finite, got {delta}")
-    return logistic(delta)
+    return logistic(checked("delta", float, delta))
 
 
 def threshold_from_priors(eval_prior: ClassPriors, noisy_train_prior: ClassPriors) -> float:

@@ -30,8 +30,12 @@ from . import __version__, experiments, mlp, svgchart, synthdata
 from .atomic import atomic_open, decode_utf8, in_place, is_stdout
 from .calculus import (
     ClassPriors,
+    Count,
+    Interior,
     NoiseParams,
+    Probability,
     bernoulli_grid_mle,
+    checked,
     logit_shift,
     mle_flipped_bernoulli,
     noisy_decision_threshold,
@@ -88,10 +92,16 @@ def _flags(build, prefix: str = ""):
 
 # ---------------------------------------------------------------- threshold
 
+def _noise_and_priors(args) -> tuple[NoiseParams, ClassPriors, ClassPriors]:
+    """Flip rates, noisy training prior and eval prior from --gamma1/--gamma0/--p1 (unset: 0.5)/--eval-p1."""
+    p1 = 0.5 if args.p1 is None else args.p1
+    noise, clean, eval_prior = _flags(lambda: (NoiseParams(args.gamma1, args.gamma0), ClassPriors(p1),
+                                               ClassPriors(p1 if args.eval_p1 is None else args.eval_p1)))
+    return noise, propagate_priors(clean, noise), eval_prior
+
+
 def cmd_threshold(args) -> int:
-    noise, clean = _flags(lambda: (NoiseParams(args.gamma1, args.gamma0), ClassPriors(args.p1)))
-    eval_prior = _flags(lambda: ClassPriors(args.p1 if args.eval_p1 is None else args.eval_p1))
-    noisy = propagate_priors(clean, noise)
+    noise, noisy, eval_prior = _noise_and_priors(args)
     delta = _flags(lambda: logit_shift(noisy, eval_prior))
     # every number below is the untouched return value of a calculus call
     print(f"basic_threshold {noisy_decision_threshold(noise)!r}")
@@ -106,11 +116,9 @@ def cmd_threshold(args) -> int:
 
 def cmd_gen(args) -> int:
     started = _utc_now()
-    noise = _flags(lambda: NoiseParams(args.gamma1, args.gamma0))
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+    noise, n = _flags(lambda: (NoiseParams(args.gamma1, args.gamma0), checked("--n", Count, args.n)))
     problem = _flags(lambda: synthdata.make_random_problem(args.seed, args.separation, args.p1))
-    clean = synthdata.sample_dataset(problem, args.n, derive_seed(args.seed, "gen-sample"))
+    clean = synthdata.sample_dataset(problem, n, derive_seed(args.seed, "gen-sample"))
     data = synthdata.flip_labels(clean, noise, derive_seed(args.seed, "gen-flip"))
     out = Path(args.out)
     log = sys.stderr if is_stdout(out) else sys.stdout  # stdout then carries only the CSV
@@ -155,15 +163,11 @@ def _resolve_threshold(args) -> float:
         if any(v is not None for v in (args.gamma1, args.gamma0, args.p1, args.eval_p1)):
             raise UsageError("give either --threshold or --gamma1/--gamma0 (with --p1/--eval-p1), "
                              "not both")
-        if not 0.0 < args.threshold < 1.0:
-            raise UsageError(f"--threshold must lie strictly inside (0, 1), got {args.threshold}")
-        return args.threshold
+        return _flags(lambda: checked("--threshold", Interior, args.threshold))
     if args.gamma1 is None or args.gamma0 is None:
         raise UsageError("need a threshold source: --threshold, or both --gamma1 and --gamma0")
-    noise = _flags(lambda: NoiseParams(args.gamma1, args.gamma0))
-    clean = _flags(lambda: ClassPriors(0.5 if args.p1 is None else args.p1))
-    eval_prior = _flags(lambda: ClassPriors(clean.p1 if args.eval_p1 is None else args.eval_p1))
-    return threshold_from_priors(eval_prior, propagate_priors(clean, noise))
+    _, noisy, eval_prior = _noise_and_priors(args)
+    return threshold_from_priors(eval_prior, noisy)
 
 
 def cmd_eval(args) -> int:
@@ -252,11 +256,10 @@ def cmd_figure(args) -> int:
     if args.print_config:
         print(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
         return 0
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    jobs = _flags(lambda: checked("--jobs", Count, args.jobs))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = experiments.run_grid(cfg, jobs=args.jobs)  # looked up at call time, so patches apply
+    rows = experiments.run_grid(cfg, jobs=jobs)  # looked up at call time, so patches apply
     summary = experiments.summarize(rows)
 
     results_path = outdir / f"{name}_results.csv"
@@ -282,19 +285,16 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------- bernoulli
 
 def cmd_bernoulli(args) -> int:
-    noise = _flags(lambda: NoiseParams(args.gamma1, args.gamma0))
-    if not 0.0 <= args.p <= 1.0:
-        raise UsageError(f"--p must lie in [0, 1], got {args.p}")
-    if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
+    noise, p, count = _flags(lambda: (NoiseParams(args.gamma1, args.gamma0), checked("--p", Probability, args.p),
+                                      checked("--count", Count, args.count)))
     rng = make_rng(args.seed, "bernoulli")
-    y = rng.random(args.count) < args.p
-    u = rng.random(args.count)
+    y = rng.random(count) < p
+    u = rng.random(count)
     z = synthdata.observe(y, u, noise)
     noisy_rate, clean_rate = mle_flipped_bernoulli(z, noise)
     oracle = bernoulli_grid_mle(z, noise)
-    print(f"count          {args.count}")
-    print(f"true_p         {args.p!r}")
+    print(f"count          {count}")
+    print(f"true_p         {p!r}")
     print(f"observed_mean  {noisy_rate!r}")
     print(f"recovered_rate {clean_rate!r}")
     print(f"grid_mle       {oracle!r}")

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import mlp, synthdata
 from .atomic import atomic_open
-from .calculus import Count, NoiseParams, Positive, Rate, cast_fields, propagate_priors, threshold_from_priors
+from .calculus import Count, NoiseParams, Positive, Rate, cast_fields, checked, propagate_priors, threshold_from_priors
 from .seeding import derive_seed
 
 
@@ -201,8 +201,7 @@ def _score_chunk(cfg: GridConfig, problems: dict, chunk: list[tuple]) -> list[Re
 
 def run_grid(cfg: GridConfig, jobs: int = 1) -> list[ResultRow]:
     """Run every cell of cfg on jobs worker processes (inline at 1); rows come back sorted."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = checked("jobs", Count, jobs)
     tasks = [(run, cell) for run in range(cfg.runs) for cell in cfg.cells(run)]
     problems = {run: synthdata.make_random_problem(derive_seed(cfg.base_seed, "problem", run),
                                                    cfg.separation_scale)

@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open, decode_utf8
-from .calculus import Count, NonNegative, Positive, Rate, as_labels, cast_fields, logistic
+from .calculus import Count, Interior, NonNegative, Positive, Rate, as_labels, cast_fields, checked, logistic
 from .seeding import make_rng
 
 _PROB_LO = np.nextafter(0.0, 1.0)
@@ -511,9 +511,7 @@ def shift_bias(params: MlpParams, delta: float) -> MlpParams:
 
 def score_cut(threshold: float) -> float:
     """The score at which a probability threshold decides: its logit, exactly 0.0 at 0.5."""
-    threshold = float(threshold)
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
+    threshold = checked("threshold", Interior, threshold)
     return math.log(threshold / (1.0 - threshold))
 
 

@@ -13,6 +13,8 @@ from .atomic import atomic_open
 from .calculus import cast_fields
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
+_WIDTH, _HEIGHT = 720, 480  # of the whole chart, in pixels
+_TICKS = 6  # the linear axes' target tick count
 
 
 @dataclass(frozen=True)
@@ -28,10 +30,10 @@ class Series:
             raise ValueError("a series needs matching, non-empty xs and ys")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi / 2 - lo / 2) / target * 2  # halves: the span of two large values overflows
+    raw = (hi / 2 - lo / 2) / _TICKS * 2  # halves: the span of two large values overflows
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -49,20 +51,22 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
-    """Powers of ten with exponents in [lo, hi]; where fewer than two fit, 2x and 5x too, then every mantissa."""
-    exponents = range(max(math.floor(lo), -307), min(math.ceil(hi), 308) + 1)  # those of normal floats
+    """Powers of ten in [lo, hi], past ten decades only every stride-th; if fewer than two, 2x and 5x too, then all."""
+    exponents = range(max(math.floor(lo), -323), min(math.ceil(hi), 308) + 1)  # those of nonzero floats
+    stride = max(1, math.ceil((math.floor(hi) - math.ceil(lo)) / 10))
     for mantissas in ((1,), (1, 2, 5), range(1, 10)):
         ticks = [m * 10.0 ** e for e in exponents for m in mantissas  # a tick past the largest float: log10 inf
-                 if lo <= math.log10(m * 10.0 ** e) <= hi + 1e-9]
+                 if e % stride == 0 and lo <= math.log10(m * 10.0 ** e) <= hi + 1e-9]
         if len(ticks) >= 2:
             break
     return ticks
 
 
 def _fmt_tick(v: float) -> str:
+    """In full below 1e7, else the fewest of six digits that read back as v (1e-323, not :g's 9.88131e-324)."""
     if v == int(v) and abs(v) < 1e7:
         return str(int(v))
-    return f"{v:g}"
+    return next((s for s in (f"{v:.{n}g}" for n in range(1, 7)) if float(s) == v), f"{v:g}")
 
 
 def _axis_range(lo: float, hi: float, half: float, pad: float) -> tuple[float, float]:
@@ -75,12 +79,11 @@ def _axis_range(lo: float, hi: float, half: float, pad: float) -> tuple[float, f
     return max(lo - 2 * pad, -top), min(hi + 2 * pad, top)  # kept inside the finite floats
 
 
-def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label: str,
-                      x_log: bool = False, width: int = 720, height: int = 480) -> str:
+def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label: str, x_log: bool = False) -> str:
     if not series:
         raise ValueError("need at least one series")
     left, right, top, bottom = 72, 180, 48, 58
-    px, py = width - left - right, height - top - bottom
+    px, py = _WIDTH - left - right, _HEIGHT - top - bottom
 
     all_x = [v for s in series for v in s.xs]
     all_y = [v for s in series for v in s.ys]
@@ -100,9 +103,9 @@ def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label
         return top + py - (v / 2 - y_lo / 2) / (y_hi / 2 - y_lo / 2) * py
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{left + px / 2:.1f}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>',
     ]
 
@@ -120,7 +123,7 @@ def render_line_chart(series: list[Series], *, title: str, x_label: str, y_label
         out.append(f'<text x="{left - 9}" y="{gy + 4:.1f}" text-anchor="end" font-size="12">{_fmt_tick(v)}</text>')
 
     out.append(f'<rect x="{left}" y="{top}" width="{px}" height="{py}" fill="none" stroke="black"/>')
-    out.append(f'<text x="{left + px / 2:.1f}" y="{height - 14}" text-anchor="middle" font-size="13">{_escape(x_label)}</text>')
+    out.append(f'<text x="{left + px / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" font-size="13">{_escape(x_label)}</text>')
     out.append(f'<text x="20" y="{top + py / 2:.1f}" text-anchor="middle" font-size="13" '
                f'transform="rotate(-90 20 {top + py / 2:.1f})">{_escape(y_label)}</text>')
 

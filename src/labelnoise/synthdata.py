@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open, decode_utf8, in_place
-from .calculus import ClassPriors, NoiseParams, as_labels, logistic
+from .calculus import ClassPriors, Count, NoiseParams, Positive, as_labels, checked, logistic
 from .seeding import make_rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -164,8 +164,7 @@ def make_random_problem(seed: int, separation_scale: float, p1: float = 0.5) -> 
     direction.  Separation near 0 therefore makes the classes coincide, and
     large separation makes them trivially distinct.
     """
-    if not separation_scale > 0.0:
-        raise ValueError(f"separation_scale must be > 0, got {separation_scale}")
+    separation_scale = checked("separation_scale", Positive, separation_scale)
     priors = ClassPriors(p1)
     rng = make_rng(seed, "problem")
     k = 2
@@ -260,8 +259,7 @@ def sample_dataset(problem: ProblemInstance, n: int, seed: int) -> Dataset:
     the class's rows in row order.  Drawn _BLOCK_ROWS at a time, they give
     the same bits.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 samples, got {n}")
+    n = checked("n", Count, n)
     rng = make_rng(seed, "sample")
     y = np.empty(n, dtype=bool)
     for block in _row_blocks(n):

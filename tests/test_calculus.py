@@ -1,7 +1,11 @@
+import contextlib
+import io
 import math
+import os
 import re
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,10 +26,12 @@ from labelnoise.calculus import (
     threshold_from_priors,
     threshold_from_shift,
 )
-from labelnoise.experiments import EfficiencyGridConfig, FlipRatioGridConfig
-from labelnoise.mlp import Architecture, TrainConfig
+from labelnoise.cli import main
+from labelnoise.experiments import EfficiencyGridConfig, FlipRatioGridConfig, run_grid
+from labelnoise.mlp import Architecture, TrainConfig, score_cut
 from labelnoise.seeding import make_rng
 from labelnoise.svgchart import Series
+from labelnoise.synthdata import make_random_problem, sample_dataset
 
 
 def random_noise(rng, max_total=0.98):
@@ -97,6 +103,7 @@ RULES = {
     "non-negative": ("be >= 0", [-5e-324]),
     "rate": ("lie in [0, 1)", [-5e-324, 1.0]),
     "probability": ("lie in [0, 1]", [-5e-324, 1.0000000000000002]),
+    "interior": ("lie strictly inside (0, 1)", [0.0, 1.0]),
 }
 GRID_FIELDS = dict(noise_levels="rate", runs="count", test_size="count", separation_scale="positive")
 # every value type's ruled fields and their kinds, both grid presets included
@@ -111,28 +118,79 @@ RULED_FIELDS = {
 }
 LIST_FIELDS = {"hidden_sizes", "noise_levels", "training_sizes", "flip_ratios"}
 REQUIRED = {NoiseParams: dict(gamma1=0.1, gamma0=0.1), ClassPriors: dict(p1=0.5)}
-RULED = [(cls, field, kind) for cls, ruled in RULED_FIELDS.items() for field, kind in ruled.items()]
 
 
-def build_with(cls, field, value):
-    """cls built from valid values but value in field, one-item tuple for a list field."""
-    return cls(**{**REQUIRED.get(cls, {}), field: (value,) if field in LIST_FIELDS else value})
+def cli_error(*argv):
+    """Run the command line; the message of an exit 2 raised as a ValueError, else the exit code.
+
+    Give a flag's value as ``--flag=value``: argparse takes -5e-324 for a flag, not a value.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    if code == 2:
+        raise ValueError(err.getvalue().removeprefix("error: ").rstrip("\n"))
+    return code
 
 
-@pytest.mark.parametrize("cls, field, kind, value", [
-    (cls, field, kind, value) for cls, field, kind in RULED for value in RULES[kind][1]
-], ids=lambda v: getattr(v, "__name__", str(v)))
-def test_a_value_just_outside_a_ruled_range_is_reported_with_the_rule(cls, field, kind, value):
+def tiny_grid():
+    return FlipRatioGridConfig(noise_levels=(0.2,), flip_ratios=(1.0,), runs=1, train_size=20,
+                               test_size=20, epochs=1)
+
+
+# every argument and flag that calculus.checked guards: name -> (kind, a call with the value there);
+# a flag never reads as True, and an int flag never as NaN: argparse rejects both before the check
+ARGUMENTS = {
+    "clean posterior": ("probability", lambda v: corrupt_posterior(v, NoiseParams(0.1, 0.1))),
+    "train_prior.p1": ("interior", lambda v: logit_shift(SimpleNamespace(p1=v), ClassPriors(0.5))),
+    "eval_prior.p1": ("interior", lambda v: logit_shift(ClassPriors(0.5), SimpleNamespace(p1=v))),
+    "delta": ("number", threshold_from_shift),
+    "threshold": ("interior", score_cut),
+    "separation_scale": ("positive", lambda v: make_random_problem(0, v)),
+    "n": ("count", lambda v: sample_dataset(make_random_problem(0, 2.5), v, 0)),
+    "jobs": ("count", lambda v: run_grid(tiny_grid(), jobs=v)),
+    "--n": ("count", lambda v: cli_error("gen", "--out", os.devnull, f"--n={v}")),
+    "--threshold": ("interior", lambda v: cli_error("eval", "--model", "none.txt", "--data", "none.csv",
+                                                    f"--threshold={v}")),
+    "--jobs": ("count", lambda v: cli_error("fig3", "--outdir", os.devnull, f"--jobs={v}")),
+    "--p": ("probability", lambda v: cli_error("bernoulli", f"--p={v}", "--gamma1", 0.1, "--gamma0", 0.1,
+                                               "--count", 10)),
+    "--count": ("count", lambda v: cli_error("bernoulli", "--p", 0.5, "--gamma1", 0.1, "--gamma0", 0.1,
+                                             f"--count={v}")),
+}
+# (a value type or a call, name, kind) for every ruled field, argument and flag
+RULED = ([(cls, field, kind) for cls, ruled in RULED_FIELDS.items() for field, kind in ruled.items()]
+         + [(call, name, kind) for name, (kind, call) in ARGUMENTS.items()])
+
+
+def build_with(site, name, value):
+    """site called with value: a value type built from valid values but value in field name, one-item
+    tuple for a list field, or an argument's or a flag's call."""
+    if not isinstance(site, type):
+        return site(value)
+    return site(**{**REQUIRED.get(site, {}), name: (value,) if name in LIST_FIELDS else value})
+
+
+def site_id(v):
+    return str(v) if isinstance(v, (str, float, int)) else getattr(v, "__name__", "").strip("<>")
+
+
+@pytest.mark.parametrize("site, field, kind, value", [
+    (site, field, kind, value) for site, field, kind in RULED if kind in RULES for value in RULES[kind][1]
+], ids=site_id)
+def test_a_value_just_outside_a_ruled_range_is_reported_with_the_rule(site, field, kind, value):
     shown = (value,) if field in LIST_FIELDS else value  # a list field shows the whole tuple
     with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must {RULES[kind][0]}, got {shown}')}$"):
-        build_with(cls, field, value)
+        build_with(site, field, value)
 
 
-@pytest.mark.parametrize("value", [math.nan, True])
-@pytest.mark.parametrize("cls, field", [(cls, field) for cls, field, _ in RULED], ids=lambda v: getattr(v, "__name__", v))
-def test_nan_and_true_in_a_ruled_field_are_not_numbers(cls, field, value):
+@pytest.mark.parametrize("site, field, value", [
+    (site, field, value) for site, field, kind in RULED for value in (math.nan, True)
+    if not field.startswith("--") or (value is math.nan and kind != "count")
+], ids=site_id)
+def test_nan_and_true_in_a_ruled_field_are_not_numbers(site, field, value):
     with pytest.raises(ValueError, match=f"^bad value for '{field}': expected "):
-        build_with(cls, field, value)
+        build_with(site, field, value)
 
 
 def test_class_priors_p0_is_derived_complement():

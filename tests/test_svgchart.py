@@ -143,14 +143,19 @@ def test_a_large_narrow_axis_renders_inside_the_plot(xs, ys):
     assert_renders_inside_the_plot(xs, ys)
 
 
-@pytest.mark.parametrize("xs", [
-    (1.0, 1e308),  # 10 ** the padded top exponent overflowed
-    (1e-300, 1e300),
-    (1e-320, 1.0),  # 10 ** the padded bottom exponent came to 0, whose log10 failed
-    (5e-324,),
-])
+# xs -> the count, the first and the last of its x labels
+EXTREME_LOG_AXES = {
+    (1.0, 1e308): (10, "1", "1e+306"),  # 10 ** the padded top exponent overflowed, and 321 labels overlapped
+    (1e-300, 1e300): (9, "1e-260", "1e+260"),
+    (1e-320, 1.0): (10, "1e-315", "1"),  # 10 ** the padded bottom exponent came to 0, whose log10 failed
+    (5e-324,): (1, "1e-323", "1e-323"),  # the powers of ten stopped at 1e-307: no label
+}
+
+
+@pytest.mark.parametrize("xs", EXTREME_LOG_AXES)
 def test_an_extreme_log_axis_renders_inside_the_plot(xs):
-    assert_renders_inside_the_plot(xs, tuple(0.5 for _ in xs), x_log=True)
+    labels = x_tick_labels(assert_renders_inside_the_plot(xs, tuple(0.5 for _ in xs), x_log=True))
+    assert (len(labels), labels[0], labels[-1]) == EXTREME_LOG_AXES[xs]
 
 
 def assert_renders_inside_the_plot(xs, ys, **kwargs):
@@ -168,6 +173,7 @@ def assert_renders_inside_the_plot(xs, ys, **kwargs):
     assert len(points) == len(xs)
     for cx, cy in points:  # inside the plot rectangle of a 720x480 chart
         assert 72 <= float(cx) <= 720 - 180 and 48 <= float(cy) <= 480 - 58
+    return svg
 
 
 def test_write_line_chart_matches_render(tmp_path):

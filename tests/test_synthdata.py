@@ -313,6 +313,10 @@ def test_sample_dataset_rejects_empty():
         sample_dataset(make_random_problem(1, 2.5), 0, 1)
 
 
+def test_sample_dataset_takes_an_integral_float_as_its_row_count():
+    assert len(sample_dataset(make_random_problem(1, 2.5), 5.0, 1)) == 5
+
+
 def test_feature_distribution_tracks_class_means():
     # with huge separation the per-class sample means sit near the mixture means
     problem = make_random_problem(8, 30.0)
