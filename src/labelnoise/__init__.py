@@ -25,6 +25,7 @@ from .calculus import (
     NoiseParams,
     bernoulli_grid_mle,
     clamp01,
+    corrected_threshold,
     corrupt_posterior,
     error_amplification,
     logistic,

@@ -10,10 +10,12 @@ posterior,
 
 invertible whenever gamma1 + gamma0 < 1.  Everything in this module is
 a scalar, closed-form consequence of that one line: corrupting and
-recovering posteriors, the decision thresholds that make a model
-trained on flipped labels reproduce clean-label decisions, how flipping
-shifts class priors, and the matching maximum-likelihood recovery for a
-Bernoulli rate estimated from flipped coin tosses.
+recovering posteriors, the decision threshold that makes a model
+trained on flipped labels reproduce clean-label decisions at any class
+priors (``corrected_threshold``: the clean prior-ratio cut pushed through
+the flip map), the observed class prior, and the matching
+maximum-likelihood recovery for a Bernoulli rate estimated from flipped
+coin tosses.
 
 Decisions everywhere in this package compare a probability (or score)
 against a threshold with ``>=`` and assign class 1 on ties.
@@ -219,16 +221,33 @@ def threshold_from_shift(delta: float) -> float:
     return logistic(checked("delta", float, delta))
 
 
-def threshold_from_priors(eval_prior: ClassPriors, noisy_train_prior: ClassPriors) -> float:
+def threshold_from_priors(eval_prior: ClassPriors, train_prior: ClassPriors) -> float:
     """Decision threshold correcting a train/eval prior mismatch, log-free.
 
     p0_eval * p1_train / (p1_eval * p0_train + p0_eval * p1_train).
     For interior priors this agrees with
-    threshold_from_shift(logit_shift(noisy_train_prior, eval_prior)) to
+    threshold_from_shift(logit_shift(train_prior, eval_prior)) to
     floating-point accuracy while avoiding logarithms entirely.
     """
-    num = eval_prior.p0 * noisy_train_prior.p1
-    return num / (eval_prior.p1 * noisy_train_prior.p0 + num)
+    num = eval_prior.p0 * train_prior.p1
+    return num / (eval_prior.p1 * train_prior.p0 + num)
+
+
+def corrected_threshold(noise: NoiseParams, train_prior: ClassPriors, eval_prior: ClassPriors) -> float:
+    """Threshold on the noisy posterior that reproduces the clean Bayes decision at eval_prior.
+
+    A model fit to labels flipped under the clean train_prior estimates
+    corrupt_posterior(p), p the clean posterior under train_prior, and the
+    clean rule is p >= t = threshold_from_priors(eval_prior, train_prior).
+    The cut is t's image (1 - gamma1) * t + gamma0 * (1 - t), spelled so that
+    equal priors give exactly noisy_decision_threshold(noise).  Flipping is
+    not a prior shift: propagate_priors gives the right cut only at an eval
+    prior of 1/2.  Both priors and the cut must be interior.
+    """
+    for name, prior in (("eval_prior", eval_prior), ("train_prior", train_prior)):
+        checked(f"{name}.p1", Interior, prior.p1)
+    t = threshold_from_priors(eval_prior, train_prior)
+    return checked("threshold", Interior, (1.0 - noise.gamma1) * t + noise.gamma0 * (1.0 - t))
 
 
 def as_labels(values, name: str) -> np.ndarray:

@@ -36,11 +36,10 @@ from .calculus import (
     Probability,
     bernoulli_grid_mle,
     checked,
-    logit_shift,
+    corrected_threshold,
     mle_flipped_bernoulli,
     noisy_decision_threshold,
     propagate_priors,
-    threshold_from_priors,
 )
 from .seeding import derive_seed, make_rng
 
@@ -92,23 +91,23 @@ def _flags(build, prefix: str = ""):
 
 # ---------------------------------------------------------------- threshold
 
-def _noise_and_priors(args) -> tuple[NoiseParams, ClassPriors, ClassPriors]:
-    """Flip rates, noisy training prior and eval prior from --gamma1/--gamma0/--p1 (unset: 0.5)/--eval-p1."""
+def _noise_prior_and_cut(args) -> tuple[NoiseParams, ClassPriors, float]:
+    """Flip rates, training prior and corrected cut of --gamma1/--gamma0/--p1 (unset: 0.5)/--eval-p1 (unset: --p1)."""
     p1 = 0.5 if args.p1 is None else args.p1
-    noise, clean, eval_prior = _flags(lambda: (NoiseParams(args.gamma1, args.gamma0), ClassPriors(p1),
-                                               ClassPriors(p1 if args.eval_p1 is None else args.eval_p1)))
-    return noise, propagate_priors(clean, noise), eval_prior
+    noise, train_prior, eval_prior = _flags(lambda: (NoiseParams(args.gamma1, args.gamma0), ClassPriors(p1),
+                                                     ClassPriors(p1 if args.eval_p1 is None else args.eval_p1)))
+    return noise, train_prior, _flags(lambda: corrected_threshold(noise, train_prior, eval_prior))
 
 
 def cmd_threshold(args) -> int:
-    noise, noisy, eval_prior = _noise_and_priors(args)
-    delta = _flags(lambda: logit_shift(noisy, eval_prior))
-    # every number below is the untouched return value of a calculus call
+    noise, train_prior, cut = _noise_prior_and_cut(args)
+    noisy = propagate_priors(train_prior, noise)
+    # every number below is the untouched return value of a library call
     print(f"basic_threshold {noisy_decision_threshold(noise)!r}")
     print(f"noisy_prior_p1  {noisy.p1!r}")
     print(f"noisy_prior_p0  {noisy.p0!r}")
-    print(f"logit_shift     {delta!r}")
-    print(f"mlp_threshold   {threshold_from_priors(eval_prior, noisy)!r}")
+    print(f"logit_shift     {mlp.score_cut(cut)!r}")
+    print(f"mlp_threshold   {cut!r}")
     return 0
 
 
@@ -166,8 +165,7 @@ def _resolve_threshold(args) -> float:
         return _flags(lambda: checked("--threshold", Interior, args.threshold))
     if args.gamma1 is None or args.gamma0 is None:
         raise UsageError("need a threshold source: --threshold, or both --gamma1 and --gamma0")
-    _, noisy, eval_prior = _noise_and_priors(args)
-    return threshold_from_priors(eval_prior, noisy)
+    return _noise_prior_and_cut(args)[2]
 
 
 def cmd_eval(args) -> int:

@@ -12,9 +12,11 @@ Each run draws one random problem, one clean-labeled test set and its
 optimal-rule ceiling from (base_seed, run).  Every cell of the run then
 corrupts its training labels, trains a fresh network on the observed
 labels, and scores it once on that test set, deciding at both the
-corrected and the naive threshold, so all cells of a run are paired and
+corrected threshold and the naive 0.5, so all cells of a run are paired and
 their differences are common-random-number comparisons; training data,
 flips and initialization are per-cell.  A cell is a pure function of (config, run, coordinates).
+The corrected threshold is ``calculus.corrected_threshold`` at the run's prior, which the
+training data and the test set share, so it is (1 - gamma1 + gamma0) / 2 bit for bit.
 
 ``run_grid`` draws each run's problem once and hands the worker processes
 lockstep stacks of cells that share a train_size (``mlp.train_stack``, which
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import mlp, synthdata
 from .atomic import atomic_open
-from .calculus import Count, NoiseParams, Positive, Rate, cast_fields, checked, propagate_priors, threshold_from_priors
+from .calculus import Count, NoiseParams, Positive, Rate, cast_fields, checked, corrected_threshold
 from .seeding import derive_seed
 
 
@@ -189,7 +191,7 @@ def _score_chunk(cfg: GridConfig, problems: dict, chunk: list[tuple]) -> list[Re
                                         derive_seed(cfg.base_seed, "test", run))
         ceiling = synthdata.bayes_accuracy(problems[run], test)
         for (_, (experiment, noise, ratio, train_size, cell_seed)), net in cells:
-            threshold = threshold_from_priors(priors, propagate_priors(priors, noise))
+            threshold = corrected_threshold(noise, priors, priors)
             s = mlp.score(net, test.x)  # one pass, decided at both thresholds as classify would
             acc_corrected, acc_naive = (float(((s >= mlp.score_cut(cut)) == test.y_clean).mean())
                                         for cut in (threshold, 0.5))

@@ -15,6 +15,7 @@ from labelnoise.calculus import (
     NoiseParams,
     bernoulli_grid_mle,
     clamp01,
+    corrected_threshold,
     corrupt_posterior,
     error_amplification,
     logistic,
@@ -138,29 +139,33 @@ def tiny_grid():
                                test_size=20, epochs=1)
 
 
-# every argument and flag that calculus.checked guards: name -> (kind, a call with the value there);
+# every argument and flag that calculus.checked guards: (name, kind, a call with the value there);
 # a flag never reads as True, and an int flag never as NaN: argparse rejects both before the check
-ARGUMENTS = {
-    "clean posterior": ("probability", lambda v: corrupt_posterior(v, NoiseParams(0.1, 0.1))),
-    "train_prior.p1": ("interior", lambda v: logit_shift(SimpleNamespace(p1=v), ClassPriors(0.5))),
-    "eval_prior.p1": ("interior", lambda v: logit_shift(ClassPriors(0.5), SimpleNamespace(p1=v))),
-    "delta": ("number", threshold_from_shift),
-    "threshold": ("interior", score_cut),
-    "separation_scale": ("positive", lambda v: make_random_problem(0, v)),
-    "n": ("count", lambda v: sample_dataset(make_random_problem(0, 2.5), v, 0)),
-    "jobs": ("count", lambda v: run_grid(tiny_grid(), jobs=v)),
-    "--n": ("count", lambda v: cli_error("gen", "--out", os.devnull, f"--n={v}")),
-    "--threshold": ("interior", lambda v: cli_error("eval", "--model", "none.txt", "--data", "none.csv",
+ARGUMENTS = [
+    ("clean posterior", "probability", lambda v: corrupt_posterior(v, NoiseParams(0.1, 0.1))),
+    ("train_prior.p1", "interior", lambda v: logit_shift(SimpleNamespace(p1=v), ClassPriors(0.5))),
+    ("eval_prior.p1", "interior", lambda v: logit_shift(ClassPriors(0.5), SimpleNamespace(p1=v))),
+    ("train_prior.p1", "interior",
+     lambda v: corrected_threshold(NoiseParams(0.2, 0.0), SimpleNamespace(p1=v), ClassPriors(0.5))),
+    ("eval_prior.p1", "interior",
+     lambda v: corrected_threshold(NoiseParams(0.2, 0.0), ClassPriors(0.5), SimpleNamespace(p1=v))),
+    ("delta", "number", threshold_from_shift),
+    ("threshold", "interior", score_cut),
+    ("separation_scale", "positive", lambda v: make_random_problem(0, v)),
+    ("n", "count", lambda v: sample_dataset(make_random_problem(0, 2.5), v, 0)),
+    ("jobs", "count", lambda v: run_grid(tiny_grid(), jobs=v)),
+    ("--n", "count", lambda v: cli_error("gen", "--out", os.devnull, f"--n={v}")),
+    ("--threshold", "interior", lambda v: cli_error("eval", "--model", "none.txt", "--data", "none.csv",
                                                     f"--threshold={v}")),
-    "--jobs": ("count", lambda v: cli_error("fig3", "--outdir", os.devnull, f"--jobs={v}")),
-    "--p": ("probability", lambda v: cli_error("bernoulli", f"--p={v}", "--gamma1", 0.1, "--gamma0", 0.1,
+    ("--jobs", "count", lambda v: cli_error("fig3", "--outdir", os.devnull, f"--jobs={v}")),
+    ("--p", "probability", lambda v: cli_error("bernoulli", f"--p={v}", "--gamma1", 0.1, "--gamma0", 0.1,
                                                "--count", 10)),
-    "--count": ("count", lambda v: cli_error("bernoulli", "--p", 0.5, "--gamma1", 0.1, "--gamma0", 0.1,
+    ("--count", "count", lambda v: cli_error("bernoulli", "--p", 0.5, "--gamma1", 0.1, "--gamma0", 0.1,
                                              f"--count={v}")),
-}
+]
 # (a value type or a call, name, kind) for every ruled field, argument and flag
 RULED = ([(cls, field, kind) for cls, ruled in RULED_FIELDS.items() for field, kind in ruled.items()]
-         + [(call, name, kind) for name, (kind, call) in ARGUMENTS.items()])
+         + [(call, name, kind) for name, kind, call in ARGUMENTS])
 
 
 def build_with(site, name, value):
@@ -400,16 +405,47 @@ def test_threshold_routes_agree():
         assert abs(a - b) < 1e-12
 
 
-def test_equal_priors_reduce_mlp_threshold_to_basic_one():
-    # with equal clean and eval priors the prior-ratio threshold collapses
-    # to the basic noisy-posterior threshold (1 - gamma1 + gamma0) / 2
+def test_equal_priors_reduce_the_corrected_threshold_to_the_basic_one_bit_for_bit():
+    # at equal train and eval priors the clean cut is exactly 1/2, and its image
+    # (1 - gamma1) / 2 + gamma0 / 2 rounds as (1 - gamma1 + gamma0) / 2 does
     rng = make_rng(110, "collapse")
-    for _ in range(500):
+    for _ in range(2000):
         noise = random_noise(rng)
-        noisy = propagate_priors(ClassPriors(0.5), noise)
-        a = threshold_from_priors(ClassPriors(0.5), noisy)
-        b = noisy_decision_threshold(noise)
-        assert a == pytest.approx(b, abs=1e-14)
+        prior = ClassPriors(float(rng.uniform(0.01, 0.99)))
+        assert corrected_threshold(noise, prior, prior) == noisy_decision_threshold(noise)
+
+
+def test_corrected_threshold_reproduces_the_clean_decision_at_any_priors():
+    # a net fit to labels flipped under train_prior estimates corrupt_posterior(p), p the clean
+    # posterior under train_prior; the clean Bayes rule at eval_prior is p >= the prior-ratio cut.
+    # A seeded loop: at an exact tie p == cut the two sides may round apart, and a search would find one
+    rng = make_rng(111, "corrected")
+    disagreements = 0
+    for _ in range(10_000):
+        noise = random_noise(rng)
+        train_prior, eval_prior = (ClassPriors(float(v)) for v in rng.uniform(0.01, 0.99, size=2))
+        p = float(rng.random())
+        clean_says_one = p >= threshold_from_priors(eval_prior, train_prior)
+        noisy_says_one = corrupt_posterior(p, noise) >= corrected_threshold(noise, train_prior, eval_prior)
+        disagreements += clean_says_one != noisy_says_one
+    assert disagreements == 0
+
+
+def test_corrected_threshold_examples():
+    noise = NoiseParams(0.3, 0.1)
+    assert corrected_threshold(noise, ClassPriors(0.2), ClassPriors(0.2)) == 0.39999999999999997
+    # the clean cut 0.3 at eval prior 0.7, through the flip map
+    assert corrected_threshold(noise, ClassPriors(0.5), ClassPriors(0.7)) == pytest.approx(0.28, abs=1e-15)
+    # at eval prior 1/2 the cut is the observed class-1 prior, the one place where treating
+    # the flips as a prior shift gives the right cut
+    observed = propagate_priors(ClassPriors(0.2), noise).p1
+    assert corrected_threshold(noise, ClassPriors(0.2), ClassPriors(0.5)) == pytest.approx(observed, abs=1e-15)
+
+
+@pytest.mark.parametrize("train_p1, eval_p1, cut", [(1 - 2**-53, 5e-324, 1.0), (5e-324, 1 - 2**-53, 0.0)])
+def test_a_corrected_threshold_that_rounds_onto_zero_or_one_is_refused(train_p1, eval_p1, cut):
+    with pytest.raises(ValueError, match=re.escape(f"threshold must lie strictly inside (0, 1), got {cut}")):
+        corrected_threshold(NoiseParams(0.0, 0.0), ClassPriors(train_p1), ClassPriors(eval_p1))
 
 
 # ------------------------------------------------------------------ bernoulli

@@ -16,10 +16,9 @@ from labelnoise import mlp, synthdata
 from labelnoise.calculus import (
     ClassPriors,
     NoiseParams,
-    logit_shift,
+    corrected_threshold,
     noisy_decision_threshold,
     propagate_priors,
-    threshold_from_priors,
 )
 from labelnoise.cli import main
 from labelnoise.experiments import EfficiencyGridConfig, FlipRatioGridConfig
@@ -66,9 +65,10 @@ def test_threshold_with_shifted_eval_prior(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--gamma1", "0.3", "--gamma0", "0.1",
                            "--p1", "0.5", "--eval-p1", "0.7")
     assert code == 0
-    want = (0.3 * 0.4) / (0.7 * 0.6 + 0.3 * 0.4)
+    # the clean cut at eval prior 0.7 is 0.3; the flip map sends it to 0.7 * 0.3 + 0.1 * 0.7
+    want = (1 - 0.3) * 0.3 + 0.1 * (1 - 0.3)
     assert float(kv(out)["mlp_threshold"][0]) == pytest.approx(want, abs=1e-12)
-    assert float(kv(out)["mlp_threshold"][0]) == pytest.approx(0.2222, abs=1e-4)
+    assert float(kv(out)["mlp_threshold"][0]) == pytest.approx(0.28, abs=1e-4)
 
 
 def test_threshold_report_is_bit_identical_to_library_calls(capsys):
@@ -83,8 +83,9 @@ def test_threshold_report_is_bit_identical_to_library_calls(capsys):
     assert report["basic_threshold"][0] == repr(noisy_decision_threshold(noise))
     assert report["noisy_prior_p1"][0] == repr(noisy.p1)
     assert report["noisy_prior_p0"][0] == repr(noisy.p0)
-    assert report["logit_shift"][0] == repr(logit_shift(noisy, eval_prior))
-    assert report["mlp_threshold"][0] == repr(threshold_from_priors(eval_prior, noisy))
+    cut = corrected_threshold(noise, clean, eval_prior)
+    assert report["logit_shift"][0] == repr(mlp.score_cut(cut))
+    assert report["mlp_threshold"][0] == repr(cut)
 
 
 def test_threshold_rejects_impossible_noise(capsys):
@@ -93,13 +94,33 @@ def test_threshold_rejects_impossible_noise(capsys):
     assert "error:" in err
 
 
-def test_a_flip_rate_that_is_not_a_finite_number_exits_two_and_writes_nothing(capsys, tmp_path):
-    expected = "error: bad value for 'gamma1': expected a finite number"
-    code, _, err = run_cli(capsys, "threshold", "--gamma1", "nan", "--gamma0", "0.1")
-    assert code == 2 and expected in err
-    code, _, err = run_cli(capsys, "gen", "--out", str(tmp_path / "x.csv"), "--n", "5", "--gamma1", "inf")
-    assert code == 2 and expected in err
-    assert list(tmp_path.iterdir()) == []
+NO_FILES = ("--model", "none.txt", "--data", "none.csv")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("threshold", "--gamma1", "nan", "--gamma0", "0.1"),
+     "bad value for 'gamma1': expected a finite number, got nan"),
+    (("gen", "--out", "x.csv", "--n", "5", "--gamma1", "inf"),
+     "bad value for 'gamma1': expected a finite number, got inf"),
+    (("fig3", "--config", "bad.json", "--outdir", "badout"),
+     "config bad.json: noise_levels must lie in [0, 1), got (1.0,)"),
+    (("eval", *NO_FILES, "--threshold", "nan"), "bad value for '--threshold': expected a finite number, got nan"),
+    (("fig3", "--outdir", "jobs0", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+    # a boundary prior, also with a zero flip rate, where the prior-ratio cut divides by zero; a cut rounded onto 1
+    (("eval", *NO_FILES, "--gamma1", "0.2", "--gamma0", "0.1", "--p1", "0"),
+     "eval_prior.p1 must lie strictly inside (0, 1), got 0.0"),
+    (("eval", *NO_FILES, "--gamma1", "0.2", "--gamma0", "0", "--p1", "0"),
+     "eval_prior.p1 must lie strictly inside (0, 1), got 0.0"),
+    (("eval", *NO_FILES, "--gamma1", "0", "--gamma0", "0", "--p1", "0.9999999999999999", "--eval-p1", "5e-324"),
+     "threshold must lie strictly inside (0, 1), got 1.0"),
+], ids=["threshold-gamma1-nan", "gen-gamma1-inf", "fig3-config-noise-level-1", "eval-threshold-nan", "fig3-jobs-0",
+        "eval-p1-0", "eval-p1-0-gamma0-0", "eval-cut-1"])
+def test_a_bad_value_exits_two_with_one_line_before_any_file_is_opened_or_made(capsys, tmp_path, monkeypatch,
+                                                                               argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text('{"noise_levels": [1.0]}\n')
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["bad.json"]
 
 
 # ----------------------------------------------------- gen / train / eval
@@ -321,6 +342,22 @@ def test_eval_symmetric_gamma_flags_match_explicit_half_threshold(capsys, tmp_pa
                              "--threshold", "0.5")
     _, by_gamma, _ = run_cli(capsys, "eval", "--model", str(model), "--data", str(data),
                              "--gamma1", "0.2", "--gamma0", "0.2")
+    assert by_value == by_gamma
+
+
+def test_eval_at_a_class_prior_decides_at_the_bayes_cut(capsys, tmp_path):
+    # train and eval prior 0.2: the clean cut is 1/2, and its image under the flip map is the basic cut,
+    # not 0.530, the cut that treats the flips as a shift of the class priors
+    data, model = tmp_path / "d.csv", tmp_path / "m.txt"
+    synthdata.save_dataset_csv(synthdata.sample_dataset(synthdata.make_random_problem(60, 2.5, 0.2), 50, 61), data)
+    mlp.save_model(mlp.init_params(mlp.Architecture(), 62), model)
+    code, by_gamma, _ = run_cli(capsys, "eval", "--model", str(model), "--data", str(data),
+                                "--gamma1", "0.3", "--gamma0", "0.1", "--p1", "0.2")
+    assert code == 0
+    assert kv(by_gamma)["threshold"] == ["0.39999999999999997"]
+    assert kv(by_gamma)["threshold"] == [repr(noisy_decision_threshold(NoiseParams(0.3, 0.1)))]
+    _, by_value, _ = run_cli(capsys, "eval", "--model", str(model), "--data", str(data),
+                             "--threshold", "0.39999999999999997")
     assert by_value == by_gamma
 
 
