@@ -157,6 +157,7 @@ def test_gen_writes_a_loadable_csv_and_manifest(capsys, tmp_path):
     assert manifest["command"] == "gen"
     assert manifest["config"]["gamma1"] == 0.3
     assert manifest["outputs"] == [str(out_path), f"{os.path.realpath(out_path)}.bin"]
+    assert (tmp_path / "d.csv.bin").is_file()
 
 
 def test_gen_into_a_fifo_writes_no_sidecar(capsys, tmp_path):
@@ -195,7 +196,11 @@ def test_an_output_to_stdout_is_all_that_stdout_carries(tmp_path, command, stdou
                               env=module_env(), timeout=60)
     assert proc.returncode == 0
     assert (proc.stdout if stdout == "pipe" else out.read_bytes()) == regular.read_bytes()
-    assert " to /dev/fd/1\n" in proc.stderr.decode() and "manifest" not in proc.stderr.decode()
+    log = proc.stderr.decode()
+    summary = "wrote 40 samples to /dev/fd/1" if command == "gen" else "saved model to /dev/fd/1"
+    assert summary in log.splitlines() and "manifest" not in log
+    if command == "gen":
+        assert any(line.startswith("observed class-1 fraction ") for line in log.splitlines())
     # a regular stdout is written in place, so it gets no sidecar either: its CSV loads through the parser
     assert set(os.listdir(tmp_path)) - before == {"stdout.out"}
     if stdout == "file" and command == "gen":
@@ -246,8 +251,23 @@ def test_train_and_eval_give_the_same_bytes_without_the_sidecar(capsys, tmp_path
         return model.read_bytes(), out
 
     from_sidecar = train_and_eval(tmp_path / "with.txt")
-    os.remove(f"{os.path.realpath(data)}.bin")
+    sidecar = Path(f"{os.path.realpath(data)}.bin")
+    cached = sidecar.read_bytes()
+    sidecar.unlink()
     assert train_and_eval(tmp_path / "without.txt") == from_sidecar
+
+    def module_train(source, model, **run):
+        proc = subprocess.run([sys.executable, "-m", "labelnoise.cli", "train", "--data", source,
+                               "--out", str(model), "--epochs", "3"],
+                              capture_output=True, env=module_env(), timeout=60, **run)
+        assert proc.returncode == 0
+        return model.read_bytes()
+
+    # a sidecar of the size int64 labels gave (32 bytes a row) is ignored
+    sidecar.write_bytes(cached.ljust(32 + 32 * 700, b"\0"))
+    assert module_train(str(data), tmp_path / "int64.txt") == from_sidecar[0]
+    # a pipe is read once, straight into the same parser
+    assert module_train("/dev/stdin", tmp_path / "piped.txt", input=data.read_bytes()) == from_sidecar[0]
 
 
 def test_gen_and_train_manifests_record_exactly_the_parsed_flags(capsys, tmp_path):
@@ -390,6 +410,14 @@ def test_runtime_file_problems_exit_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "train", "--data", str(bad), "--out", str(tmp_path / "m.txt"))
     assert code == 1
     assert "line 3" in err
+    # a byte that is not UTF-8 on a piped stdin exits 1 naming its line, and writes no model
+    proc = subprocess.run([sys.executable, "-m", "labelnoise.cli", "train", "--data", "/dev/stdin",
+                           "--out", str(tmp_path / "m.txt")],
+                          input=b"x1,x2,y_clean,z_observed\n1,2,0,1\n1,2,0,\xe9\n",
+                          capture_output=True, env=module_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: line 3: not UTF-8")
+    assert not (tmp_path / "m.txt").exists()
     good = tmp_path / "good.csv"
     assert main(["gen", "--out", str(good), "--n", "20", "--seed", "40"]) == 0
     capsys.readouterr()
@@ -456,6 +484,8 @@ BERNOULLI_ARGV = ["bernoulli", "--p", "0.5", "--gamma1", "0.1", "--gamma0", "0.1
     pytest.param(None, BERNOULLI_ARGV, id="buffered"),
     pytest.param("1", ["--help"], id="unbuffered-help"),  # argparse's own write drops the error
     pytest.param(None, ["--help"], id="buffered-help"),
+    pytest.param("1", ["fig3", "--print-config"], id="unbuffered-print-config"),
+    pytest.param(None, ["fig3", "--print-config"], id="buffered-print-config"),
 ])
 def test_closed_stdout_exits_one_and_says_nothing(unbuffered, argv):
     # a reader that closes the pipe early (`labelnoise ... | head`) is not a runtime failure
@@ -538,16 +568,25 @@ def test_fig3_manifest_config_reconstructs_the_run(capsys, tmp_path):
                                              for k, v in FIG3_CONFIG.items()})
 
 
-def test_fig3_rerun_is_byte_identical(capsys, tmp_path):
-    cfg = write_fig3_config(tmp_path)
+@pytest.mark.parametrize("figure, config, jobs", [
+    pytest.param("fig3", FIG3_CONFIG, 1, id="fig3-rerun"),
+    pytest.param("fig3", {"runs": 2, "epochs": 2}, 2, id="fig3-jobs2"),
+    # several stacks, partial batches, and (36 cells in two scoring chunks) a chunk boundary inside run 1
+    pytest.param("fig2", {"runs": 3, "epochs": 2, "training_sizes": [50, 100, 130], "test_size": 2000}, 2,
+                 id="fig2-jobs2"),
+    # 40 cells x 32 rows a step need two stacks, which three workers round up to three
+    pytest.param("fig3", {"runs": 5, "epochs": 1, "test_size": 2000}, 3, id="fig3-jobs3"),
+])
+def test_fig_rerun_at_any_jobs_is_byte_identical(capsys, tmp_path, figure, config, jobs):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
     a = tmp_path / "a"
     b = tmp_path / "b"
-    assert main(["fig3", "--config", str(cfg), "--outdir", str(a)]) == 0
-    assert main(["fig3", "--config", str(cfg), "--outdir", str(b)]) == 0
+    assert main([figure, "--config", str(cfg), "--outdir", str(a), "--jobs", "1"]) == 0
+    assert main([figure, "--config", str(cfg), "--outdir", str(b), "--jobs", str(jobs)]) == 0
     capsys.readouterr()
-    assert (a / "fig3_results.csv").read_bytes() == (b / "fig3_results.csv").read_bytes()
-    assert (a / "fig3_summary.csv").read_bytes() == (b / "fig3_summary.csv").read_bytes()
-    assert (a / "fig3.svg").read_bytes() == (b / "fig3.svg").read_bytes()
+    for name in (f"{figure}_results.csv", f"{figure}_summary.csv", f"{figure}.svg"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_fig3_ratio_one_summary_rows_coincide(capsys, tmp_path):
