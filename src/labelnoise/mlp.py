@@ -20,11 +20,11 @@ per-layer views (``_layers``) are (R, fan_in, fan_out) weights and
 Each batched operation does for every network what it does for one alone,
 so a stack gives each network the bits it would get alone; ``train`` is
 the stack of one.  A stack keeps its shape for the whole call, so its views
-and buffers are made once per call.  Each epoch, every network draws its
-own shuffle into one (R, n) row order, int32 where R·n fits; each window of
-batches (see below) then gathers its rows of every network from the stacked
-inputs into one window-sized buffer, so a call holds no shuffled copy of a
-whole dataset.
+and step buffers are made once per call.  Each epoch, every network draws
+its own shuffle into one (R, n) row order, int32 where R·n fits; each window
+of batches (see below) then gathers its rows of every network from the
+stacked inputs into fresh window-sized arrays, so a call holds no shuffled
+copy of a whole dataset.
 The targets, checked to be 0/1, are gathered in their own dtype (a
 Dataset's bool labels) and cast to float64 a window at a time, so a call
 holds no float64 copy of the target column either; the row order is
@@ -32,10 +32,12 @@ refilled in place each epoch.
 MlpParams and Gradients keep one array per layer.  ``_blocks`` is the model
 file's layout, which save_model writes and load_model parses block by block.
 
-An SGD step (``_backprop``, then the momentum update) allocates almost
-nothing: each operation writes with ``out=`` into step buffers made once per
-call and batch size (``_step_buffers``), and the step leaves its
-scores in a window of batches instead of computing its loss.  An epoch's
+An SGD step (``_backprop``, then the momentum update) writes its layer
+outputs and their gradients with ``out=`` into step buffers made once per
+call and batch size (``_step_buffers``): at the grids' cap of 1024 rows a
+step each is 120 KiB, and made fresh each step they cost up to 14 % more
+time, when glibc trims and regrows the heap around them.  The step leaves
+its scores in a window of batches instead of computing its loss.  An epoch's
 loss needs only the per-batch losses summed in batch order, so they are
 computed from the stored scores when the window fills and at the end of
 the epoch, and added in that order: the bits one loss per step would give.
@@ -331,7 +333,10 @@ def _backprop(weights, biases, x: np.ndarray, t: np.ndarray, grads, buffers: _St
     x is (R, m, d) and t (R, m).  grads are the per-layer views
     (``_layers``) of one (R, P) gradient array, and every entry of it is
     written.  s (R, m) is one batch of ``buffers.scores``; the hidden-layer
-    outputs in ``buffers`` are overwritten by the backward pass.
+    outputs in ``buffers`` are overwritten by the backward pass.  Each layer
+    goes back through one plain matmul, the last one (whose inner dimension
+    is 1) too, so a step has the bits of a per-layer pass, signed zeros
+    included: matmul starts each sum at +0.0.
     """
     stack, _ = _forward_stack(weights, biases, x, [*buffers.hidden, s[..., None]])
     # d(mean loss)/d(score) = (sigmoid(s) - t) / m
@@ -344,20 +349,11 @@ def _backprop(weights, biases, x: np.ndarray, t: np.ndarray, grads, buffers: _St
         np.matmul(stack[layer].transpose(0, 2, 1), dh, out=gw[layer])
         np.add.reduce(dh, axis=1, out=gb[layer])
         if layer:
-            back, w = buffers.backs[layer - 1], weights[layer].transpose(0, 2, 1)
-            if dh.shape[-1] == 1:
-                # a matmul over an inner dimension of 1 runs in numpy's own loop,
-                # slower than a multiply; that loop starts each sum at +0.0, so
-                # a -0.0 product reads +0.0 there
-                np.multiply(dh, w, out=back)
-                back += 0.0
-            else:
-                np.matmul(dh, w, out=back)
+            dh = np.matmul(dh, weights[layer].transpose(0, 2, 1), out=buffers.backs[layer - 1])
             a = stack[layer]  # read for the last time just above
             np.multiply(a, a, out=a)
             np.subtract(1.0, a, out=a)  # tanh' in terms of the tanh output
-            back *= a
-            dh = back
+            dh *= a
 
 
 def _add_window_losses(running: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -435,7 +431,6 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     biases = tuple(b[:, None] for b in biases)  # (R, 1, fan_out) broadcasts over a batch
     g = np.empty_like(theta)
     grads = _layers(arch, g)
-    decay = np.empty((stack, n_weights)) if cfg.weight_decay else None
 
     x_rows, t_rows = x.reshape(-1, arch.input_dim), t.reshape(-1)  # network r owns rows r*n ..
     # this epoch's rows of each network, in order; shuffle draws the same permutation for either dtype
@@ -444,11 +439,6 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     spans = [(rows, starts, _step_buffers(arch, stack, rows, len(starts)))  # batch rows, starts, buffers
              for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)),
                                   (n - full, range(full, n, cfg.batch_size))) if starts]
-    # a window's rows of each network, gathered into a contiguous prefix of these;
-    # the targets in their own dtype, then cast to the float64 the step reads
-    most = max(rows * len(step.scores) for rows, _, step in spans)
-    x_window, t_window = np.empty(stack * most * arch.input_dim), np.empty(stack * most)
-    t_gather = np.empty(stack * most, dtype=t.dtype)
     epoch_losses: list[list[float]] = []  # per epoch, one loss per network
     averaged = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises its own error below
@@ -464,18 +454,15 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
                 for first in range(0, len(starts), len(step.scores)):
                     batches = len(starts[first:first + len(step.scores)])
                     span = order[:, starts[first]:starts[first] + batches * rows]
-                    xs = x_window[:span.size * arch.input_dim].reshape(*span.shape, arch.input_dim)
-                    ts = t_window[:span.size].reshape(span.shape)
-                    # one gather serves the stack.  The indices are always in range;
-                    # mode="raise" would gather through a hidden copy of out
-                    np.take(x_rows, span, axis=0, out=xs, mode="clip")
-                    ts[...] = np.take(t_rows, span, out=t_gather[:span.size].reshape(span.shape),
-                                      mode="clip")
+                    # one gather serves the stack; the targets in their own dtype,
+                    # then cast to the float64 the step reads
+                    xs = np.take(x_rows, span, axis=0)
+                    ts = np.take(t_rows, span).astype(np.float64, copy=False)
                     for k, s in enumerate(step.scores[:batches]):
                         batch = slice(k * rows, (k + 1) * rows)
                         _backprop(weights, biases, xs[:, batch], ts[:, batch], grads, step, s)
                         if cfg.weight_decay:
-                            g[:, :n_weights] += np.multiply(theta[:, :n_weights], cfg.weight_decay, out=decay)
+                            g[:, :n_weights] += theta[:, :n_weights] * cfg.weight_decay
                         velocity *= cfg.momentum
                         velocity -= np.multiply(g, cfg.learning_rate, out=g)
                         theta += velocity

@@ -429,6 +429,9 @@ def test_train_matches_the_per_layer_reference_bit_for_bit(hidden, kwargs, dtype
     # network, 63 for eight; these epochs fill it and go on into a second window
     pytest.param(1, (15, 15), dict(epochs=2), 20001, id="one-two-windows"),
     pytest.param(8, (6, 5, 4), dict(epochs=8, momentum=0.5), 2100, id="eight-two-windows"),
+    # the grids' cap of 1024 rows a step: a window of 15 batches, a second
+    # window of one, then the partial batch of 8 rows
+    pytest.param(32, (15, 15), dict(), 520, id="thirty-two-at-the-cap"),
     pytest.param(3, (4, 3), dict(batch_size=100), 70, id="batch-over-data"),
 ])
 @pytest.mark.parametrize("dtype", [np.int64, bool, np.float64])
@@ -529,10 +532,15 @@ def test_grad_matches_the_per_layer_reference_bit_for_bit():
         rng = make_rng(seed, "ref-grad")
         x = rng.normal(size=(11, 2))
         t = rng.integers(0, 2, size=11)
-        g = grad(params, x, t)
-        _, gw, gb = reference_backprop(params.weights, params.biases, x, t.astype(float))
-        assert same_bits(g.weights, gw)
-        assert same_bits(g.biases, gb)
+        # last-layer weights of +0.0 and -0.0 under all-zero targets: every
+        # product of the last layer's backward pass is a signed zero
+        signed = np.where(np.arange(hidden[-1]) % 2, -0.0, 0.0)[:, None]
+        zeroed = MlpParams(params.arch, params.weights[:-1] + (signed,), params.biases)
+        for p, targets in ((params, t), (zeroed, np.zeros_like(t))):
+            g = grad(p, x, targets)
+            _, gw, gb = reference_backprop(p.weights, p.biases, x, targets.astype(float))
+            assert same_bits(g.weights, gw)
+            assert same_bits(g.biases, gb)
 
 
 def test_train_raises_on_numeric_blowup():
