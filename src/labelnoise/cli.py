@@ -402,8 +402,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
-    except (synthdata.DatasetFormatError, mlp.ModelFormatError, mlp.TrainingDivergedError,
-            OSError, ValueError) as exc:
+    except (mlp.TrainingDivergedError, OSError, ValueError) as exc:  # the format errors are ValueErrors
         if not (isinstance(exc, BrokenPipeError) and _stdout_reader_gone()):
             print(f"error: {exc}", file=sys.stderr)  # a reader that left early is no error
         code = 1

@@ -22,8 +22,10 @@ training data and the test set share, so it is (1 - gamma1 + gamma0) / 2 bit for
 lockstep stacks of cells that share a train_size (``mlp.train_stack``, which
 gives each network the bits it would get alone), longest first.  It then
 scores the cells in one contiguous run-major chunk per worker, which draws
-each run's test set and ceiling once; --jobs 1 runs both phases inline.  Rows
-are sorted before they are returned, so the output is byte-identical for any --jobs value.
+the test set and ceiling once per run it holds; a run cut by a chunk boundary
+is drawn by both chunks, which keeps the chunks even and the workers
+balanced.  --jobs 1 runs both phases inline.  Rows are sorted before they
+are returned, so the output is byte-identical for any --jobs value.
 """
 
 import csv

@@ -20,11 +20,11 @@ per-layer views (``_layers``) are (R, fan_in, fan_out) weights and
 Each batched operation does for every network what it does for one alone,
 so a stack gives each network the bits it would get alone; ``train`` is
 the stack of one.  A stack keeps its shape for the whole call, so its views
-and step buffers are made once per call.  Each epoch, every network draws
-its own shuffle into one (R, n) row order, int32 where R·n fits; each window
-of batches (see below) then gathers its rows of every network from the
-stacked inputs into fresh window-sized arrays, so a call holds no shuffled
-copy of a whole dataset.
+are made once per call.  Each epoch, every network draws its own shuffle
+into one (R, n) row order, int32 where R·n fits; each window of batches
+(see below) then gathers its rows of every network from the stacked inputs
+into fresh window-sized arrays, so a call holds no shuffled copy of a whole
+dataset.
 The targets, checked to be 0/1, are gathered in their own dtype (a
 Dataset's bool labels) and cast to float64 a window at a time, so a call
 holds no float64 copy of the target column either; the row order is
@@ -32,15 +32,19 @@ refilled in place each epoch.
 MlpParams and Gradients keep one array per layer.  ``_blocks`` is the model
 file's layout, which save_model writes and load_model parses block by block.
 
-An SGD step (``_backprop``, then the momentum update) writes its layer
-outputs and their gradients with ``out=`` into step buffers made once per
-call and batch size (``_step_buffers``): at the grids' cap of 1024 rows a
-step each is 120 KiB, and made fresh each step they cost up to 14 % more
-time, when glibc trims and regrows the heap around them.  The step leaves
-its scores in a window of batches instead of computing its loss.  An epoch's
-loss needs only the per-batch losses summed in batch order, so they are
-computed from the stored scores when the window fills and at the end of
-the epoch, and added in that order: the bits one loss per step would give.
+An SGD step (``_backprop``, then the momentum update) makes its hidden
+layer outputs and their gradients fresh.  At the grids' cap of 1024 rows a
+step each is 120 KiB, and glibc trims and regrows the heap around them:
+default fig3 at --jobs 1 takes 85k minor page faults, against 13k with
+buffers made once per call.  Those buffers were measured and dropped for
+their code: in alternated fresh-process pairs, fresh arrays cost default
+fig3 at --jobs 1 a per-pair median of 3.8 % (won 5 of 20), inside the
+buffered runs' interquartile range, and default fig2 nothing.  The step
+leaves its scores in a window of batches instead of computing its loss.
+An epoch's loss needs only the per-batch losses summed in batch order, so
+they are computed from the stored scores when the window fills and at the
+end of the epoch, and added in that order: the bits one loss per step
+would give.
 The window holds fewer than ``_BLOCK_BYTES`` of scores, so that it and the
 loss temporaries made from it reuse heap pages; a whole epoch's scores
 (200 000 rows for a large dataset) would cost fresh pages and raise peak
@@ -60,7 +64,6 @@ take their size cap from the same rule.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -306,39 +309,17 @@ def loss(params: MlpParams, x, targets) -> float:
     return float(np.mean(_softplus(s) - t * s))
 
 
-class _StepBuffers(NamedTuple):
-    """The arrays one SGD step of a stack writes, made once per call and batch size."""
-
-    hidden: list[np.ndarray]  # (R, m, width): each hidden layer's output
-    backs: list[np.ndarray]  # (R, m, width): the loss gradient w.r.t. that output
-    scores: np.ndarray  # (W, R, m): the scores of a window of W batches
-
-
-def _step_buffers(arch: Architecture, stack: int, rows: int, batches: int) -> _StepBuffers:
-    """Step buffers of `stack` networks on `batches` batches of `rows` rows.
-
-    The score window holds as many of the batches as stay under
-    _BLOCK_BYTES, like a block of ``score``, and at least one.
-    """
-    window = min(batches, max(1, (_BLOCK_BYTES - 1) // (8 * stack * rows)))
-    return _StepBuffers([np.empty((stack, rows, h)) for h in arch.hidden_sizes],
-                        [np.empty((stack, rows, h)) for h in arch.hidden_sizes],
-                        np.empty((window, stack, rows)))
-
-
-def _backprop(weights, biases, x: np.ndarray, t: np.ndarray, grads, buffers: _StepBuffers,
-              s: np.ndarray) -> None:
+def _backprop(weights, biases, x: np.ndarray, t: np.ndarray, grads, s: np.ndarray) -> None:
     """Gradients of each network's mean loss on one batch of a stack; the scores go into s.
 
     x is (R, m, d) and t (R, m).  grads are the per-layer views
     (``_layers``) of one (R, P) gradient array, and every entry of it is
-    written.  s (R, m) is one batch of ``buffers.scores``; the hidden-layer
-    outputs in ``buffers`` are overwritten by the backward pass.  Each layer
+    written.  s (R, m) is one batch of a score window.  Each layer
     goes back through one plain matmul, the last one (whose inner dimension
     is 1) too, so a step has the bits of a per-layer pass, signed zeros
     included: matmul starts each sum at +0.0.
     """
-    stack, _ = _forward_stack(weights, biases, x, [*buffers.hidden, s[..., None]])
+    stack, _ = _forward_stack(weights, biases, x, [None] * (len(weights) - 1) + [s[..., None]])
     # d(mean loss)/d(score) = (sigmoid(s) - t) / m
     dh = sigmoid(s)
     dh -= t
@@ -349,7 +330,7 @@ def _backprop(weights, biases, x: np.ndarray, t: np.ndarray, grads, buffers: _St
         np.matmul(stack[layer].transpose(0, 2, 1), dh, out=gw[layer])
         np.add.reduce(dh, axis=1, out=gb[layer])
         if layer:
-            dh = np.matmul(dh, weights[layer].transpose(0, 2, 1), out=buffers.backs[layer - 1])
+            dh = np.matmul(dh, weights[layer].transpose(0, 2, 1))
             a = stack[layer]  # read for the last time just above
             np.multiply(a, a, out=a)
             np.subtract(1.0, a, out=a)  # tanh' in terms of the tanh output
@@ -378,9 +359,8 @@ def grad(params: MlpParams, x, targets) -> Gradients:
         raise ValueError("grad needs at least one sample")
     t = _as_targets(targets, x.shape[:1]).astype(np.float64, copy=False)
     g = np.empty(sum(a.size for a in params.weights + params.biases))  # the layout of _layers
-    buffers = _step_buffers(params.arch, 1, x.shape[0], 1)
     _backprop([w[None] for w in params.weights], [b[None, None] for b in params.biases],
-              x[None], t[None], _layers(params.arch, g[None]), buffers, buffers.scores[0])
+              x[None], t[None], _layers(params.arch, g[None]), np.empty((1, x.shape[0])))
     return Gradients(*_layers(params.arch, g))
 
 
@@ -436,7 +416,10 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     # this epoch's rows of each network, in order; shuffle draws the same permutation for either dtype
     order = np.empty((stack, n), dtype=np.int32 if stack * n <= np.iinfo(np.int32).max else np.intp)
     full = n - n % cfg.batch_size
-    spans = [(rows, starts, _step_buffers(arch, stack, rows, len(starts)))  # batch rows, starts, buffers
+    # (batch rows, starts, score window); a window holds as many of the batches'
+    # scores as stay under _BLOCK_BYTES, like a block of ``score``, and at least one
+    spans = [(rows, starts, np.empty((min(len(starts), max(1, (_BLOCK_BYTES - 1) // (8 * stack * rows))),
+                                      stack, rows)))
              for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)),
                                   (n - full, range(full, n, cfg.batch_size))) if starts]
     epoch_losses: list[list[float]] = []  # per epoch, one loss per network
@@ -450,24 +433,24 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
                 np.cumsum(row, dtype=row.dtype, out=row)
                 shuffle.shuffle(row)
             running = np.zeros(stack)
-            for rows, starts, step in spans:
-                for first in range(0, len(starts), len(step.scores)):
-                    batches = len(starts[first:first + len(step.scores)])
+            for rows, starts, window in spans:
+                for first in range(0, len(starts), len(window)):
+                    batches = len(starts[first:first + len(window)])
                     span = order[:, starts[first]:starts[first] + batches * rows]
                     # one gather serves the stack; the targets in their own dtype,
                     # then cast to the float64 the step reads
                     xs = np.take(x_rows, span, axis=0)
                     ts = np.take(t_rows, span).astype(np.float64, copy=False)
-                    for k, s in enumerate(step.scores[:batches]):
+                    for k, s in enumerate(window[:batches]):
                         batch = slice(k * rows, (k + 1) * rows)
-                        _backprop(weights, biases, xs[:, batch], ts[:, batch], grads, step, s)
+                        _backprop(weights, biases, xs[:, batch], ts[:, batch], grads, s)
                         if cfg.weight_decay:
                             g[:, :n_weights] += theta[:, :n_weights] * cfg.weight_decay
                         velocity *= cfg.momentum
                         velocity -= np.multiply(g, cfg.learning_rate, out=g)
                         theta += velocity
                     targets = ts.reshape(stack, batches, rows).transpose(1, 0, 2)
-                    running = _add_window_losses(running, step.scores[:batches], targets)
+                    running = _add_window_losses(running, window[:batches], targets)
             losses = (running / n).tolist()
             for r, value in enumerate(losses):
                 if not math.isfinite(value):
