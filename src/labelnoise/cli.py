@@ -406,6 +406,9 @@ def main(argv=None) -> int:
         if not (isinstance(exc, BrokenPipeError) and _stdout_reader_gone()):
             print(f"error: {exc}", file=sys.stderr)  # a reader that left early is no error
         code = 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130  # 128 + SIGINT, as a shell reports a command that Ctrl-C ended
     try:
         sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit flush
     except BrokenPipeError:

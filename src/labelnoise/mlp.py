@@ -34,21 +34,17 @@ file's layout, which save_model writes and load_model parses block by block.
 
 An SGD step (``_backprop``, then the momentum update) makes its hidden
 layer outputs and their gradients fresh.  At the grids' cap of 1024 rows a
-step each is 120 KiB, and glibc trims and regrows the heap around them:
-default fig3 at --jobs 1 takes 85k minor page faults, against 13k with
-buffers made once per call.  Those buffers were measured and dropped for
-their code: in alternated fresh-process pairs, fresh arrays cost default
-fig3 at --jobs 1 a per-pair median of 3.8 % (won 5 of 20), inside the
-buffered runs' interquartile range, and default fig2 nothing.  The step
+step each is 120 KiB, and glibc trims and regrows the heap around them;
+buffers made once per call saved too little for their code.  The step
 leaves its scores in a window of batches instead of computing its loss.
 An epoch's loss needs only the per-batch losses summed in batch order, so
 they are computed from the stored scores when the window fills and at the
 end of the epoch, and added in that order: the bits one loss per step
 would give.
-The window holds fewer than ``_BLOCK_BYTES`` of scores, so that it and the
-loss temporaries made from it reuse heap pages; a whole epoch's scores
-(200 000 rows for a large dataset) would cost fresh pages and raise peak
-memory.
+A window holds as many batches as keep their gathered inputs under
+``_BLOCK_BYTES``, so that the gather, the scores and the loss temporaries
+made from them reuse heap pages; a whole epoch's scores (200 000 rows for
+a large dataset) would cost fresh pages and raise peak memory.
 
 ``score`` and ``classify`` run a batch through the network ``block_rows``
 rows at a time (``_score_blocks``) and fill one preallocated column: the
@@ -416,9 +412,10 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     # this epoch's rows of each network, in order; shuffle draws the same permutation for either dtype
     order = np.empty((stack, n), dtype=np.int32 if stack * n <= np.iinfo(np.int32).max else np.intp)
     full = n - n % cfg.batch_size
-    # (batch rows, starts, score window); a window holds as many of the batches'
-    # scores as stay under _BLOCK_BYTES, like a block of ``score``, and at least one
-    spans = [(rows, starts, np.empty((min(len(starts), max(1, (_BLOCK_BYTES - 1) // (8 * stack * rows))),
+    # (batch rows, starts, score window); a window holds as many batches as keep their
+    # gathered inputs (and so their scores) under _BLOCK_BYTES, like a block of ``score``, and at least one
+    row_bytes = 8 * stack * arch.input_dim  # one gathered row of every network
+    spans = [(rows, starts, np.empty((min(len(starts), max(1, (_BLOCK_BYTES - 1) // (row_bytes * rows))),
                                       stack, rows)))
              for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)),
                                   (n - full, range(full, n, cfg.batch_size))) if starts]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from labelnoise import mlp, synthdata
+from labelnoise import experiments, mlp, synthdata
 from labelnoise.calculus import (
     ClassPriors,
     NoiseParams,
@@ -429,6 +429,16 @@ def test_runtime_file_problems_exit_one(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_ctrl_c_exits_130_with_one_line_and_writes_no_results(capsys, tmp_path, monkeypatch):
+    def interrupted(cfg, jobs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments, "run_grid", interrupted)
+    outdir = tmp_path / "out"
+    assert run_cli(capsys, "fig3", "--outdir", str(outdir)) == (130, "", "error: interrupted\n")
+    assert not (outdir / "fig3_results.csv").exists()
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "gen", "--out", str(tmp_path / "x.csv"), "--n", "0")[0] == 2
     assert run_cli(capsys, "bernoulli", "--p", "0.5", "--gamma1", "0.1", "--gamma0", "0.1",
@@ -458,6 +468,14 @@ def test_importing_the_cli_leaves_the_process_pool_unimported():
     code = "import sys, labelnoise.cli; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=module_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_importing_the_package_binds_only_its_version_and_leaves_numpy_unimported():
+    # every name is imported from the module that defines it
+    code = ("import sys, labelnoise; print([k for k in vars(labelnoise) if not k.startswith('_')], "
+            "labelnoise.__version__, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=module_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] 0.1.0 False\n", "")
 
 
 def test_console_script_is_installed():

@@ -425,12 +425,12 @@ def test_train_matches_the_per_layer_reference_bit_for_bit(hidden, kwargs, dtype
     pytest.param(3, (5, 4), dict(weight_decay=1e-2, average_tail=2), 70, id="three"),
     pytest.param(8, (15, 15), dict(), 70, id="eight"),
     pytest.param(8, (6, 5, 4), dict(epochs=12, momentum=0.5, average_tail=3), 70, id="eight-tail-average"),
-    # the loss window holds under 128 KiB of scores: 511 batches of 32 for one
-    # network, 63 for eight; these epochs fill it and go on into a second window
+    # a loss window's gathered inputs stay under 128 KiB: 255 batches of 32 for
+    # one network, 31 for eight; these epochs fill it and go on into another window
     pytest.param(1, (15, 15), dict(epochs=2), 20001, id="one-two-windows"),
     pytest.param(8, (6, 5, 4), dict(epochs=8, momentum=0.5), 2100, id="eight-two-windows"),
-    # the grids' cap of 1024 rows a step: a window of 15 batches, a second
-    # window of one, then the partial batch of 8 rows
+    # the grids' cap of 1024 rows a step: two windows of 7 batches, a third
+    # window of two, then the partial batch of 8 rows
     pytest.param(32, (15, 15), dict(), 520, id="thirty-two-at-the-cap"),
     pytest.param(3, (4, 3), dict(batch_size=100), 70, id="batch-over-data"),
 ])
