@@ -23,7 +23,8 @@ against a threshold with ``>=`` and assign class 1 on ties.
 All functions are pure; nothing here owns random state.  ``checked`` is
 the package's one value rule: every number field (``cast_fields``), flag and
 argument with a range is cast and checked by it, and the ranges are the six
-ruled kinds, ``Count`` to ``Interior``.
+ruled kinds, ``Count`` to ``Interior``.  Arrays have one check per kind:
+``as_labels`` for 0/1 labels and ``as_points`` for finite feature points.
 """
 
 import math
@@ -258,6 +259,19 @@ def as_labels(values, name: str) -> np.ndarray:
     values = np.asarray(values)
     if values.dtype != bool and not ((values == 0) | (values == 1)).all():
         raise ValueError(f"{name} must contain only 0/1 values")
+    return values
+
+
+def as_points(values, width: int, name: str) -> np.ndarray:
+    """values as float64, checked to have a last axis of ``width`` and to hold only finite numbers.
+
+    The package's one feature-point check; each caller adds its own rule on the leading axes.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[-1:] != (width,):
+        raise ValueError(f"{name} must have trailing dimension {width}, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
     return values
 
 

@@ -68,17 +68,16 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: list[str],
         fh.write("\n")
 
 
-def _output_manifest(out: Path, command: str, args, outputs: list[str], started: str) -> Path | None:
-    """Write the manifest, with the parsed flags, next to a command's output file; return its path.
+def _output_manifest(out: Path, command: str, args, outputs: list[str], started: str, log) -> None:
+    """Write the manifest, with the parsed flags, next to a command's output file, and print its path to log.
 
-    None, and no manifest, for a target written in place: `/dev/fd/3.manifest.json` names no file.
+    No manifest, and no line, for a target written in place: `/dev/fd/3.manifest.json` names no file.
     """
-    if in_place(out):
-        return None
-    manifest = out.with_name(out.name + ".manifest.json")
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    _write_manifest(manifest, command, flags, outputs, started)
-    return manifest
+    if not in_place(out):
+        manifest = out.with_name(out.name + ".manifest.json")
+        flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        _write_manifest(manifest, command, flags, outputs, started)
+        print(f"manifest {manifest}", file=log)
 
 
 def _flags(build, prefix: str = ""):
@@ -122,13 +121,10 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     log = sys.stderr if is_stdout(out) else sys.stdout  # stdout then carries only the CSV
     sidecar = synthdata.save_dataset_csv(data, out)
-    outputs = [str(out)] if sidecar is None else [str(out), sidecar]
-    manifest = _output_manifest(out, "gen", args, outputs, started)
     print(f"wrote {len(data)} samples to {out}", file=log)
     print(f"clean class-1 fraction    {float(data.y_clean.mean())!r}", file=log)
     print(f"observed class-1 fraction {float(data.z_observed.mean())!r}", file=log)
-    if manifest is not None:
-        print(f"manifest {manifest}", file=log)
+    _output_manifest(out, "gen", args, [str(out)] if sidecar is None else [str(out), sidecar], started, log)
     return 0
 
 
@@ -148,10 +144,8 @@ def cmd_train(args) -> int:
     for i, ep_loss in enumerate(result.epoch_losses, start=1):
         print(f"epoch {i}/{cfg.epochs}  loss {ep_loss:.6f}", file=log)
     mlp.save_model(result.params, out)
-    manifest = _output_manifest(out, "train", args, [str(out)], started)
     print(f"saved model to {out}", file=log)
-    if manifest is not None:
-        print(f"manifest {manifest}", file=log)
+    _output_manifest(out, "train", args, [str(out)], started, log)
     return 0
 
 
@@ -263,8 +257,8 @@ def cmd_figure(args) -> int:
     results_path = outdir / f"{name}_results.csv"
     summary_path = outdir / f"{name}_summary.csv"
     chart_path = outdir / f"{name}.svg"
-    experiments.write_results_csv(rows, results_path)
-    experiments.write_summary_csv(summary, summary_path)
+    experiments.write_csv(rows, results_path)
+    experiments.write_csv(summary, summary_path)
     svgchart.write_line_chart(
         chart_path, _chart_series(summary, x_field),
         title=title, x_label=x_label, y_label="mean accuracy on clean labels", x_log=x_log)

@@ -26,6 +26,8 @@ the test set and ceiling once per run it holds; a run cut by a chunk boundary
 is drawn by both chunks, which keeps the chunks even and the workers
 balanced.  --jobs 1 runs both phases inline.  Rows are sorted before they
 are returned, so the output is byte-identical for any --jobs value.
+``write_csv`` writes them, or ``summarize``'s per-cell rows, as one table
+headed by the field names of the rows' dataclass.
 """
 
 import csv
@@ -55,7 +57,9 @@ class GridConfig:
     a subclass that redeclares a field repeats its ruled kind), so a config
     built in Python gets the checks a config file gets: a bad value raises a
     ValueError naming the field.  cells(run) lists one run's (experiment,
-    noise, ratio, train_size, cell_seed) tuples.
+    noise, ratio, train_size, cell_seed) tuples.  The checks end by building
+    run 0's cells, whose NoiseParams reject invalid flip rates; other runs
+    differ only in their seeds, so a subclass needs no checks of its own.
     """
 
     noise_levels: tuple[Rate, ...]
@@ -74,6 +78,7 @@ class GridConfig:
             if getattr(self, field.name) == ():
                 raise ValueError(f"bad value for {field.name!r}: expected a non-empty list of numbers")
         self.train_config()
+        self.cells(0)  # builds every cell's NoiseParams, which rejects invalid flip rates
 
     def train_config(self) -> mlp.TrainConfig:  # every network of the grid trains with it
         return mlp.TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
@@ -102,12 +107,6 @@ class FlipRatioGridConfig(GridConfig):
     runs: Count = 20
     train_size: Count = 4000
     base_seed: int = 20251
-
-    def __post_init__(self):
-        super().__post_init__()
-        for n in self.noise_levels:
-            for r in self.flip_ratios:
-                _noise_for_ratio(n, r)  # rejects any (n, ratio) with invalid flip rates
 
     def cells(self, run: int) -> list[tuple]:
         return [("flip-ratio", _noise_for_ratio(n, ratio), ratio, self.train_size,
@@ -143,11 +142,6 @@ class SummaryRow:
     mean_naive: float
     se_naive: float
     mean_ceiling: float
-
-
-# CSV columns, in field order
-RESULTS_FIELDS = tuple(f.name for f in fields(ResultRow))
-SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow))
 
 
 def _split(items: list, parts: int) -> list[list]:
@@ -237,35 +231,21 @@ def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
         groups.setdefault((row.experiment, row.n, row.ratio, row.train_size), []).append(row)
-    out = []
-    for (experiment, n, ratio, size), cell in sorted(groups.items()):
-        corrected = np.array([r.acc_corrected for r in cell])
-        naive = np.array([r.acc_naive for r in cell])
-        ceiling = np.array([r.bayes_ceiling for r in cell])
-        out.append(SummaryRow(
-            experiment, n, ratio, size,
-            float(corrected.mean()), _sem(corrected),
-            float(naive.mean()), _sem(naive),
-            float(ceiling.mean()),
-        ))
-    return out
+    return [SummaryRow(*key, *_mean_sem([r.acc_corrected for r in cell]), *_mean_sem([r.acc_naive for r in cell]),
+                       _mean_sem([r.bayes_ceiling for r in cell])[0])
+            for key, cell in sorted(groups.items())]
 
 
-def _sem(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(values.std(ddof=1) / math.sqrt(values.size))
+def _mean_sem(values: list[float]) -> tuple[float, float]:
+    """Mean and standard error of the mean; one value has a standard error of 0."""
+    values = np.array(values)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
 
 
-def write_results_csv(rows: list[ResultRow], path) -> None:
-    _write_csv(path, RESULTS_FIELDS, rows)
-
-
-def write_summary_csv(rows: list[SummaryRow], path) -> None:
-    _write_csv(path, SUMMARY_FIELDS, rows)
-
-
-def _write_csv(path, fields: tuple[str, ...], rows) -> None:
+def write_csv(rows: list, path) -> None:
+    """One table: the field names of the rows' dataclass, then one line per row, through ``atomic_open``."""
+    if not rows:
+        raise ValueError("write_csv needs at least one row")
+    names = [field.name for field in fields(rows[0])]
     with atomic_open(path) as fh:
-        values = ([getattr(row, name) for name in fields] for row in rows)
-        csv.writer(fh, lineterminator="\n").writerows([fields, *values])
+        csv.writer(fh, lineterminator="\n").writerows([names, *([getattr(row, n) for n in names] for row in rows)])

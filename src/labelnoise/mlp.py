@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open, decode_utf8
-from .calculus import Count, Interior, NonNegative, Positive, Rate, as_labels, cast_fields, checked, logistic
+from .calculus import Count, Interior, NonNegative, Positive, Rate, as_labels, as_points, cast_fields, checked, logistic
 from .seeding import make_rng
 
 _PROB_LO = np.nextafter(0.0, 1.0)
@@ -199,15 +199,10 @@ def block_rows(arch: Architecture) -> int:
 
 
 def _as_batch(input_dim: int, x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != input_dim:
+    x = as_points(x, input_dim, "inputs")
+    if x.ndim > 2:
         raise ValueError(f"inputs must have shape (m, {input_dim}) or ({input_dim},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("inputs must be finite")
-    return x, single
+    return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
 def _layers(arch: Architecture, theta: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -383,9 +378,9 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     (cfg.early_stop_tol) takes a stack of one network.  Raises
     TrainingDivergedError when an epoch loss of any network stops being finite.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_points(x, arch.input_dim, "inputs")
     seeds = list(seeds)
-    if x.ndim != 3 or x.shape[0] != len(seeds) or x.shape[2] != arch.input_dim:
+    if x.ndim != 3 or x.shape[0] != len(seeds):
         raise ValueError(f"inputs must have shape ({len(seeds)}, n, {arch.input_dim}) "
                          f"for {len(seeds)} seeds, got {x.shape}")
     stack, n = x.shape[:2]
@@ -393,8 +388,6 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
         raise ValueError("training needs at least one network and one sample")
     if cfg.early_stop_tol is not None and stack > 1:
         raise ValueError(f"early stop takes a stack of one network, got {stack}")
-    if not np.isfinite(x).all():
-        raise ValueError("inputs must be finite")
     t = _as_targets(targets, x.shape[:2])
 
     inits = [init_params(arch, seed) for seed in seeds]

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open, decode_utf8, in_place
-from .calculus import ClassPriors, Count, NoiseParams, Positive, as_labels, checked, logistic
+from .calculus import ClassPriors, Count, NoiseParams, Positive, as_labels, as_points, checked, logistic
 from .seeding import make_rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -129,14 +129,12 @@ class Dataset:
     z_observed: np.ndarray  # (n,) bool
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+        x = as_points(self.x, 2, "features")
         y, z = np.asarray(self.y_clean), np.asarray(self.z_observed)
-        if x.ndim != 2 or x.shape[1] != 2:
+        if x.ndim != 2:
             raise ValueError(f"features must have shape (n, 2), got {x.shape}")
         if y.shape != x.shape[:1] or z.shape != x.shape[:1]:
             raise ValueError("label columns must match the number of feature rows")
-        if not np.isfinite(x).all():
-            raise ValueError("features must be finite")
         object.__setattr__(self, "x", x)
         for name, col in (("y_clean", y), ("z_observed", z)):  # checked before the bool cast
             object.__setattr__(self, name, as_labels(col, name).astype(bool, copy=False))
@@ -199,7 +197,7 @@ def gmm_log_density(model: GmmClassModel, x) -> float | np.ndarray:
     component: the running maximum, then the exp terms added left to right,
     the order a numpy sum over fewer than 8 components takes.
     """
-    x = _as_points(x)
+    x = as_points(x, 2, "points")
     with np.errstate(divide="ignore"):
         log_w = np.log(model.weights)
     # arrays even for one point, so that the passes below can write in place
@@ -218,15 +216,6 @@ def gmm_log_density(model: GmmClassModel, x) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _as_points(x) -> np.ndarray:
-    pts = np.asarray(x, dtype=np.float64)
-    if pts.shape[-1:] != (2,):
-        raise ValueError(f"points must have trailing dimension 2, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
-    return pts
-
-
 def clean_posterior(problem: ProblemInstance, x) -> float | np.ndarray:
     """Exact P(y=1 | x), computed in log space.
 
@@ -235,7 +224,7 @@ def clean_posterior(problem: ProblemInstance, x) -> float | np.ndarray:
     underflow a direct Bayes quotient.  If both class log-densities are
     non-finite (beyond even log-space range) the prior p1 is returned.
     """
-    x = _as_points(x)
+    x = as_points(x, 2, "points")
     with np.errstate(divide="ignore"):
         l1 = np.log(problem.clean_priors.p1) + gmm_log_density(problem.model1, x)
         l0 = np.log(problem.clean_priors.p0) + gmm_log_density(problem.model0, x)

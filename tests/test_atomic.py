@@ -10,7 +10,7 @@ import pytest
 from labelnoise import atomic, cli, mlp, svgchart, synthdata
 from labelnoise.atomic import atomic_open
 from labelnoise.calculus import NoiseParams
-from labelnoise.experiments import ResultRow, summarize, write_results_csv, write_summary_csv
+from labelnoise.experiments import ResultRow, summarize, write_csv
 
 ROW = ResultRow("efficiency", 0.4, 0.2, 0.2, 1.0, 60, 0, 0.5, 0.8, 0.8, 0.9, 7)
 
@@ -142,8 +142,8 @@ def _chart(path):
 WRITERS = {
     "dataset": lambda path: synthdata.save_dataset_csv(dataset(10, 3), path),
     "model": lambda path: mlp.save_model(mlp.init_params(mlp.Architecture(), 0), path),
-    "results": lambda path: write_results_csv([ROW], path),
-    "summary": lambda path: write_summary_csv(summarize([ROW]), path),
+    "results": lambda path: write_csv([ROW], path),
+    "summary": lambda path: write_csv(summarize([ROW]), path),
     "chart": _chart,
     "manifest": _manifest,
 }

@@ -13,6 +13,7 @@ import pytest
 from labelnoise.calculus import (
     ClassPriors,
     NoiseParams,
+    as_points,
     bernoulli_grid_mle,
     clamp01,
     corrected_threshold,
@@ -29,10 +30,11 @@ from labelnoise.calculus import (
 )
 from labelnoise.cli import main
 from labelnoise.experiments import EfficiencyGridConfig, FlipRatioGridConfig, run_grid
-from labelnoise.mlp import Architecture, TrainConfig, score_cut
+from labelnoise.mlp import (Architecture, TrainConfig, classify, grad, init_params, loss, score, score_cut, train,
+                           train_stack)
 from labelnoise.seeding import make_rng
 from labelnoise.svgchart import Series
-from labelnoise.synthdata import make_random_problem, sample_dataset
+from labelnoise.synthdata import Dataset, clean_posterior, gmm_log_density, make_random_problem, sample_dataset
 
 
 def random_noise(rng, max_total=0.98):
@@ -196,6 +198,41 @@ def test_a_value_just_outside_a_ruled_range_is_reported_with_the_rule(site, fiel
 def test_nan_and_true_in_a_ruled_field_are_not_numbers(site, field, value):
     with pytest.raises(ValueError, match=f"^bad value for '{field}': expected "):
         build_with(site, field, value)
+
+
+NET, PROBLEM = init_params(Architecture(), 0), make_random_problem(0, 2.5)
+# every boundary that takes feature points: a call with an (m, 2) batch x there
+POINT_SITES = {
+    "score": lambda x: score(NET, x),
+    "classify": lambda x: classify(NET, x),
+    "loss": lambda x: loss(NET, x, np.zeros(len(x))),
+    "grad": lambda x: grad(NET, x, np.zeros(len(x))),
+    "train": lambda x: train(x, np.zeros(len(x)), cfg=TrainConfig(epochs=1)),
+    "train_stack": lambda x: train_stack(x[None], np.zeros((1, len(x))), Architecture(), TrainConfig(epochs=1), [0]),
+    "Dataset": lambda x: Dataset(x, np.zeros(len(x)), np.zeros(len(x))),
+    "gmm_log_density": lambda x: gmm_log_density(PROBLEM.model1, x),
+    "clean_posterior": lambda x: clean_posterior(PROBLEM, x),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "width-3"])
+@pytest.mark.parametrize("site", POINT_SITES)
+def test_every_boundary_checks_feature_points_by_the_one_rule(site, bad):
+    x = np.zeros((4, 3 if bad == "width-3" else 2))
+    if bad == "width-3":
+        rule = r"must have trailing dimension 2, got shape \((1, )?4, 3\)"
+    else:
+        x[1, 0], rule = float(bad), "must be finite"
+    with pytest.raises(ValueError, match=rf"^\w+ {rule}$"):
+        POINT_SITES[site](x)
+
+
+def test_as_points_returns_float64_of_any_leading_shape():
+    for shape in ((2,), (0, 2), (3, 4, 2)):
+        points = as_points(np.ones(shape, dtype=np.int64), 2, "points")
+        assert points.dtype == np.float64 and points.shape == shape
+    with pytest.raises(ValueError, match=r"^points must have trailing dimension 2, got shape \(\)$"):
+        as_points(1.0, 2, "points")
 
 
 def test_class_priors_p0_is_derived_complement():

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,18 +8,16 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from labelnoise import mlp, synthdata
 from labelnoise.experiments import (
-    RESULTS_FIELDS,
-    SUMMARY_FIELDS,
     EfficiencyGridConfig,
     FlipRatioGridConfig,
     ResultRow,
+    SummaryRow,
     _plan_stacks,
     run_efficiency_grid,
     run_flip_ratio_grid,
     run_grid,
     summarize,
-    write_results_csv,
-    write_summary_csv,
+    write_csv,
 )
 
 
@@ -164,8 +163,8 @@ def test_grid_rows_and_csv_bytes_do_not_depend_on_jobs(tmp_path, fig2, runs, siz
         cfg = FlipRatioGridConfig(train_size=sizes[0], **shared)
 
     def written(rows):
-        write_results_csv(rows, tmp_path / "results.csv")
-        write_summary_csv(summarize(rows), tmp_path / "summary.csv")
+        write_csv(rows, tmp_path / "results.csv")
+        write_csv(summarize(rows), tmp_path / "summary.csv")
         return (tmp_path / "results.csv").read_bytes(), (tmp_path / "summary.csv").read_bytes()
 
     rows = run_grid(cfg, jobs=1)
@@ -258,8 +257,8 @@ def test_rerunning_a_grid_writes_identical_csv_bytes(tmp_path):
     cfg = tiny_efficiency()
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    write_results_csv(run_efficiency_grid(cfg, jobs=1), first)
-    write_results_csv(run_efficiency_grid(cfg, jobs=2), second)
+    write_csv(run_efficiency_grid(cfg, jobs=1), first)
+    write_csv(run_efficiency_grid(cfg, jobs=2), second)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -314,15 +313,24 @@ def test_summary_rejects_empty_input():
         summarize([])
 
 
+def test_the_table_writer_rejects_an_empty_table(tmp_path):
+    # no row, so no dataclass to name the columns: no header-only file
+    path = tmp_path / "results.csv"
+    with pytest.raises(ValueError, match="at least one row"):
+        write_csv([], path)
+    assert not path.exists()
+
+
 # ------------------------------------------------------------------ CSV shape
 
 def test_results_csv_header_and_value_round_trip(tmp_path):
     r = row(0.8125, acc_naive=0.75, ceiling=0.875)
     path = tmp_path / "results.csv"
-    write_results_csv([r], path)
+    write_csv([r], path)
     header, line = path.read_text().splitlines()
-    assert header == ",".join(RESULTS_FIELDS)
-    parts = dict(zip(RESULTS_FIELDS, line.split(",")))
+    names = [field.name for field in fields(ResultRow)]
+    assert header == ",".join(names)
+    parts = dict(zip(names, line.split(",")))
     assert parts["experiment"] == "efficiency"
     assert parts["train_size"] == "60"
     assert parts["run"] == "0"
@@ -334,10 +342,11 @@ def test_results_csv_header_and_value_round_trip(tmp_path):
 def test_summary_csv_header_and_value_round_trip(tmp_path):
     summary = summarize([row(0.84, run=0), row(0.9, run=1)])
     path = tmp_path / "summary.csv"
-    write_summary_csv(summary, path)
+    write_csv(summary, path)
     header, line = path.read_text().splitlines()
-    assert header == ",".join(SUMMARY_FIELDS)
-    parts = dict(zip(SUMMARY_FIELDS, line.split(",")))
+    names = [field.name for field in fields(SummaryRow)]
+    assert header == ",".join(names)
+    parts = dict(zip(names, line.split(",")))
     assert float(parts["mean_corrected"]) == summary[0].mean_corrected
     assert float(parts["se_corrected"]) == summary[0].se_corrected
 
@@ -363,18 +372,23 @@ def test_efficiency_config_rejects_bad_values(kwargs):
         tiny_efficiency(**kwargs)
 
 
+# gamma1 = n/3 and gamma0 = 2n/3 are valid rates, but their sum rounds to 1.0
+FLIP_RATES_SUM_TO_ONE = dict(noise_levels=(0.9999999999999999,), flip_ratios=(2.0,))
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(noise_levels=()),
     dict(noise_levels=(1.0,)),
     dict(flip_ratios=()),
     dict(flip_ratios=(0.0,)),
     dict(flip_ratios=(-2.0,)),
+    FLIP_RATES_SUM_TO_ONE,
     dict(train_size=0),
     dict(runs=0),
     dict(test_size=0),
 ])
 def test_flip_ratio_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="total noise" if kwargs is FLIP_RATES_SUM_TO_ONE else None):
         tiny_flip_ratio(**kwargs)
 
 
