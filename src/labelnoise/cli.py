@@ -12,9 +12,12 @@ Subcommands:
 
 Batch-only by design: every run reads flags/config, writes its outputs plus a
 JSON manifest (none next to an output written in place, ``atomic.in_place``),
-and exits.  Usage errors, config-file errors among them, exit 2; runtime
-failures (missing/malformed files, diverged training) exit 1, and so does a
-stdout its reader closed early, silently.
+and exits.  Each ``cmd_*`` returns its result lines, and ``main`` prints them
+once the command has returned, so every output, sidecar and manifest is
+written before any line: to stderr when ``--out`` is the file stdout writes
+to, else to stdout.  Usage errors, config-file errors among them, exit 2;
+runtime failures (missing/malformed files, diverged training) exit 1 and
+print no result lines; a stdout its reader closed early exits 1 silently.
 """
 
 import argparse
@@ -24,6 +27,7 @@ import os
 import select
 import sys
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 
 from . import __version__, experiments, mlp, svgchart, synthdata
@@ -68,16 +72,17 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: list[str],
         fh.write("\n")
 
 
-def _output_manifest(out: Path, command: str, args, outputs: list[str], started: str, log) -> None:
-    """Write the manifest, with the parsed flags, next to a command's output file, and print its path to log.
+def _output_manifest(out: Path, command: str, args, outputs: list[str], started: str) -> list[str]:
+    """Write the manifest, with the parsed flags, next to a command's output file; return its `manifest` line.
 
     No manifest, and no line, for a target written in place: `/dev/fd/3.manifest.json` names no file.
     """
-    if not in_place(out):
-        manifest = out.with_name(out.name + ".manifest.json")
-        flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-        _write_manifest(manifest, command, flags, outputs, started)
-        print(f"manifest {manifest}", file=log)
+    if in_place(out):
+        return []
+    manifest = out.with_name(out.name + ".manifest.json")
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    _write_manifest(manifest, command, flags, outputs, started)
+    return [f"manifest {manifest}"]
 
 
 def _flags(build, prefix: str = ""):
@@ -98,39 +103,36 @@ def _noise_prior_and_cut(args) -> tuple[NoiseParams, ClassPriors, float]:
     return noise, train_prior, _flags(lambda: corrected_threshold(noise, train_prior, eval_prior))
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> list[str]:
     noise, train_prior, cut = _noise_prior_and_cut(args)
     noisy = propagate_priors(train_prior, noise)
     # every number below is the untouched return value of a library call
-    print(f"basic_threshold {noisy_decision_threshold(noise)!r}")
-    print(f"noisy_prior_p1  {noisy.p1!r}")
-    print(f"noisy_prior_p0  {noisy.p0!r}")
-    print(f"logit_shift     {mlp.score_cut(cut)!r}")
-    print(f"mlp_threshold   {cut!r}")
-    return 0
+    return [f"basic_threshold {noisy_decision_threshold(noise)!r}",
+            f"noisy_prior_p1  {noisy.p1!r}",
+            f"noisy_prior_p0  {noisy.p0!r}",
+            f"logit_shift     {mlp.score_cut(cut)!r}",
+            f"mlp_threshold   {cut!r}"]
 
 
 # ---------------------------------------------------------------------- gen
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> list[str]:
     started = _utc_now()
     noise, n = _flags(lambda: (NoiseParams(args.gamma1, args.gamma0), checked("--n", Count, args.n)))
     problem = _flags(lambda: synthdata.make_random_problem(args.seed, args.separation, args.p1))
     clean = synthdata.sample_dataset(problem, n, derive_seed(args.seed, "gen-sample"))
     data = synthdata.flip_labels(clean, noise, derive_seed(args.seed, "gen-flip"))
     out = Path(args.out)
-    log = sys.stderr if is_stdout(out) else sys.stdout  # stdout then carries only the CSV
     sidecar = synthdata.save_dataset_csv(data, out)
-    print(f"wrote {len(data)} samples to {out}", file=log)
-    print(f"clean class-1 fraction    {float(data.y_clean.mean())!r}", file=log)
-    print(f"observed class-1 fraction {float(data.z_observed.mean())!r}", file=log)
-    _output_manifest(out, "gen", args, [str(out)] if sidecar is None else [str(out), sidecar], started, log)
-    return 0
+    return [f"wrote {len(data)} samples to {out}",
+            f"clean class-1 fraction    {float(data.y_clean.mean())!r}",
+            f"observed class-1 fraction {float(data.z_observed.mean())!r}",
+            *_output_manifest(out, "gen", args, [str(out)] if sidecar is None else [str(out), sidecar], started)]
 
 
 # -------------------------------------------------------------------- train
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> list[str]:
     started = _utc_now()
     arch = _flags(lambda: mlp.Architecture(2, tuple(args.hidden)))
     cfg = _flags(lambda: mlp.TrainConfig(
@@ -138,15 +140,11 @@ def cmd_train(args) -> int:
         momentum=args.momentum, weight_decay=args.weight_decay, init_seed=args.seed,
         early_stop_tol=args.early_stop_tol))
     out = Path(args.out)
-    log = sys.stderr if is_stdout(out) else sys.stdout  # stdout then carries only the model
     data = synthdata.load_dataset_csv(args.data)
     result = mlp.train(data.x, data.z_observed, arch, cfg)
-    for i, ep_loss in enumerate(result.epoch_losses, start=1):
-        print(f"epoch {i}/{cfg.epochs}  loss {ep_loss:.6f}", file=log)
     mlp.save_model(result.params, out)
-    print(f"saved model to {out}", file=log)
-    _output_manifest(out, "train", args, [str(out)], started, log)
-    return 0
+    return [*(f"epoch {i}/{cfg.epochs}  loss {ep_loss:.6f}" for i, ep_loss in enumerate(result.epoch_losses, start=1)),
+            f"saved model to {out}", *_output_manifest(out, "train", args, [str(out)], started)]
 
 
 # --------------------------------------------------------------------- eval
@@ -162,7 +160,7 @@ def _resolve_threshold(args) -> float:
     return _noise_prior_and_cut(args)[2]
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> list[str]:
     threshold = _resolve_threshold(args)
     params = mlp.load_model(args.model)
     data = synthdata.load_dataset_csv(args.data)
@@ -172,12 +170,11 @@ def cmd_eval(args) -> int:
     fp = int(pred.sum()) - tp
     fn = int(positive.sum()) - tp
     tn = len(data) - tp - fp - fn
-    print(f"threshold   {threshold!r}")
-    print(f"labels      {args.labels}")
-    print(f"samples     {len(data)}")
-    print(f"accuracy    {float((pred == positive).mean())!r}")
-    print(f"tp fp fn tn {tp} {fp} {fn} {tn}")
-    return 0
+    return [f"threshold   {threshold!r}",
+            f"labels      {args.labels}",
+            f"samples     {len(data)}",
+            f"accuracy    {float((pred == positive).mean())!r}",
+            f"tp fp fn tn {tp} {fp} {fn} {tn}"]
 
 
 # -------------------------------------------------------------- experiments
@@ -215,15 +212,12 @@ def _load_grid_config(cls, path):
 
 
 def _chart_series(summary, x_field: str):
-    by_n: dict[float, list] = {}
-    for row in summary:
-        by_n.setdefault(row.n, []).append(row)
+    """A corrected and a naive series per noise level, from one grid's summary in summarize's (n, x) order."""
     series = []
-    for n, rows in sorted(by_n.items()):
-        rows.sort(key=lambda r: getattr(r, x_field))
-        xs = tuple(getattr(r, x_field) for r in rows)
-        series.append(svgchart.Series(f"n={n:g} corrected", xs, tuple(r.mean_corrected for r in rows)))
-        series.append(svgchart.Series(f"n={n:g} naive", xs, tuple(r.mean_naive for r in rows), dashed=True))
+    for n, rows in groupby(summary, key=lambda r: r.n):
+        xs, corrected, naive = zip(*((getattr(r, x_field), r.mean_corrected, r.mean_naive) for r in rows))
+        series.append(svgchart.Series(f"n={n:g} corrected", xs, corrected))
+        series.append(svgchart.Series(f"n={n:g} naive", xs, naive, dashed=True))
     return series
 
 
@@ -238,7 +232,7 @@ _FIGURES = {
 }
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args) -> list[str]:
     started = _utc_now()
     name = args.command
     _, cls, x_field, x_label, title, x_log = _FIGURES[name]
@@ -246,8 +240,7 @@ def cmd_figure(args) -> int:
         raise UsageError("--outdir is required (unless --print-config)")
     cfg = _load_grid_config(cls, args.config)
     if args.print_config:
-        print(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
-        return 0
+        return [json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)]
     jobs = _flags(lambda: checked("--jobs", Count, args.jobs))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -265,18 +258,15 @@ def cmd_figure(args) -> int:
     manifest_path = outdir / f"{name}_manifest.json"
     _write_manifest(manifest_path, name, dataclasses.asdict(cfg),
                     [str(results_path), str(summary_path), str(chart_path)], started)
-    for row in summary:
-        print(f"n={row.n:g} ratio={row.ratio:g} size={row.train_size} "
+    return [*(f"n={row.n:g} ratio={row.ratio:g} size={row.train_size} "
               f"corrected={row.mean_corrected:.4f}±{row.se_corrected:.4f} "
-              f"naive={row.mean_naive:.4f}±{row.se_naive:.4f} ceiling={row.mean_ceiling:.4f}")
-    for p in (results_path, summary_path, chart_path, manifest_path):
-        print(f"wrote {p}")
-    return 0
+              f"naive={row.mean_naive:.4f}±{row.se_naive:.4f} ceiling={row.mean_ceiling:.4f}" for row in summary),
+            *(f"wrote {p}" for p in (results_path, summary_path, chart_path, manifest_path))]
 
 
 # ---------------------------------------------------------------- bernoulli
 
-def cmd_bernoulli(args) -> int:
+def cmd_bernoulli(args) -> list[str]:
     noise, p, count = _flags(lambda: (NoiseParams(args.gamma1, args.gamma0), checked("--p", Probability, args.p),
                                       checked("--count", Count, args.count)))
     rng = make_rng(args.seed, "bernoulli")
@@ -285,12 +275,11 @@ def cmd_bernoulli(args) -> int:
     z = synthdata.observe(y, u, noise)
     noisy_rate, clean_rate = mle_flipped_bernoulli(z, noise)
     oracle = bernoulli_grid_mle(z, noise)
-    print(f"count          {count}")
-    print(f"true_p         {p!r}")
-    print(f"observed_mean  {noisy_rate!r}")
-    print(f"recovered_rate {clean_rate!r}")
-    print(f"grid_mle       {oracle!r}")
-    return 0
+    return [f"count          {count}",
+            f"true_p         {p!r}",
+            f"observed_mean  {noisy_rate!r}",
+            f"recovered_rate {clean_rate!r}",
+            f"grid_mle       {oracle!r}"]
 
 
 # --------------------------------------------------------------------- main
@@ -390,7 +379,11 @@ def _stdout_reader_gone() -> bool:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
+        out = getattr(args, "out", None)
+        log = sys.stderr if out is not None and is_stdout(out) else sys.stdout  # stdout then carries only the output
+        for line in args.func(args):
+            print(line, file=log)
+        code = 0
     except SystemExit as exc:
         code = 0 if exc.code in (0, None) else int(exc.code)
     except UsageError as exc:

@@ -223,8 +223,8 @@ run_efficiency_grid = run_flip_ratio_grid = run_grid  # the presets' names for t
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
     """Per-cell means and standard errors of the mean across runs.
 
-    Cells are keyed by (experiment, n, ratio, train_size); a cell with a
-    single run reports a standard error of 0.
+    Cells are keyed by (experiment, n, ratio, train_size), and the rows come
+    sorted by that key; a cell with a single run reports a standard error of 0.
     """
     if not rows:
         raise ValueError("summarize needs at least one result row")

@@ -31,8 +31,7 @@ class Series:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """Round-valued ticks across lo..hi, where lo < hi, as every _axis_range returns."""
     raw = (hi / 2 - lo / 2) / _TICKS * 2  # halves: the span of two large values overflows
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -215,12 +215,19 @@ POINT_SITES = {
 }
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "width-3"])
-@pytest.mark.parametrize("site", POINT_SITES)
+ANY_LEADING_SHAPE = ("gmm_log_density", "clean_posterior")  # no rank rule: a (1, 4, 2) stack is points too
+
+
+@pytest.mark.parametrize("site, bad", [
+    (site, bad) for site in POINT_SITES for bad in ("nan", "inf", "width-3", "rank-3")
+    if bad != "rank-3" or site not in ANY_LEADING_SHAPE
+])
 def test_every_boundary_checks_feature_points_by_the_one_rule(site, bad):
     x = np.zeros((4, 3 if bad == "width-3" else 2))
     if bad == "width-3":
         rule = r"must have trailing dimension 2, got shape \((1, )?4, 3\)"
+    elif bad == "rank-3":
+        x, rule = x[None], r"must have shape \([^)]*\)( or \(2,\)| for 1 seeds)?, got \((1, )?1, 4, 2\)"
     else:
         x[1, 0], rule = float(bad), "must be finite"
     with pytest.raises(ValueError, match=rf"^\w+ {rule}$"):

@@ -427,6 +427,11 @@ def test_runtime_file_problems_exit_one(capsys, tmp_path):
                            "--threshold", "0.5")
     assert code == 1
     assert "line 1" in err
+    # a model that cannot be saved fails before any epoch line is printed
+    code, out, err = run_cli(capsys, "train", "--data", str(good), "--out", str(tmp_path / "nodir" / "m.txt"),
+                             "--epochs", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
 
 
 def test_ctrl_c_exits_130_with_one_line_and_writes_no_results(capsys, tmp_path, monkeypatch):
@@ -458,9 +463,13 @@ def test_version_flag_exits_cleanly(capsys):
 
 
 def module_env():
-    """os.environ with the imported labelnoise first on PYTHONPATH, for `python -m labelnoise.cli`."""
+    """os.environ with the imported labelnoise first on PYTHONPATH, for `python -m labelnoise.cli`.
+
+    PYTHONUNBUFFERED is dropped, so every run has the default buffered stdout wherever the tests run.
+    """
     src = str(Path(mlp.__file__).resolve().parents[1])  # where labelnoise is imported from
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_importing_the_cli_leaves_the_process_pool_unimported():
@@ -508,7 +517,6 @@ BERNOULLI_ARGV = ["bernoulli", "--p", "0.5", "--gamma1", "0.1", "--gamma0", "0.1
 def test_closed_stdout_exits_one_and_says_nothing(unbuffered, argv):
     # a reader that closes the pipe early (`labelnoise ... | head`) is not a runtime failure
     env = module_env()
-    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
@@ -518,6 +526,32 @@ def test_closed_stdout_exits_one_and_says_nothing(unbuffered, argv):
     _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("epochs", [None, "3", "1000"], ids=["gen", "train-3", "train-1000"])
+def test_closed_stdout_still_gets_every_file_and_manifest(tmp_path, unbuffered, epochs):
+    # every file is written before the first line, so a reader that left early loses only lines
+    data = tmp_path / "data.csv"
+    gen = ["gen", "--n", "20", "--seed", "4"]
+    assert main([*gen, "--out", str(data)]) == 0
+    argv = gen if epochs is None else ["train", "--data", str(data), "--epochs", epochs]
+    regular, out = tmp_path / "regular.out", tmp_path / "closed.out"
+    assert main([*argv, "--out", str(regular)]) == 0
+    env = module_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "labelnoise.cli", *argv, "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # long before the child has imported numpy and printed
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (1, b"")
+    got, want = (json.loads(Path(f"{path}.manifest.json").read_text()) for path in (out, regular))
+    assert got["command"] == argv[0]
+    # the output, and gen's sidecar, as an uninterrupted run writes them
+    assert [Path(p).read_bytes() for p in got["outputs"]] == [Path(p).read_bytes() for p in want["outputs"]]
+    (synthdata.load_dataset_csv if epochs is None else mlp.load_model)(out)
 
 
 def test_broken_pipe_on_another_file_is_reported(tmp_path):
