@@ -202,16 +202,24 @@ def logit_shift(train_prior: ClassPriors, eval_prior: ClassPriors) -> float:
     return math.log(train_prior.p1 / train_prior.p0) - math.log(eval_prior.p1 / eval_prior.p0)
 
 
-def logistic(s):
+def logistic(s, out=None):
     """1 / (1 + exp(-s)), scalar -> float, array -> array; unclipped.
 
     Both signs go through t = exp(-|s|), so huge |s| neither overflows
     nor loses precision; far enough out the result is exactly 0.0 or 1.0.
+    The result is 1 / (1 + t) where s >= 0 and t / (1 + t) elsewhere, and
+    t and 1 + t are computed once each: seven numpy calls in place of nine,
+    with the bits of evaluating both quotients.  ``out``, an array of s's
+    shape, is filled and returned in place of a new array, so the SGD step
+    (``mlp._backprop``) writes its probabilities into its workspace.
     """
     s = np.asarray(s, dtype=np.float64)
-    t = np.exp(-np.abs(s))
-    p = np.where(s >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return float(p) if p.ndim == 0 else p
+    p = np.empty(s.shape) if out is None else out
+    t = np.exp(np.negative(np.abs(s, out=p), out=p), out=p)
+    d = np.add(1.0, t)
+    np.copyto(p, 1.0, where=s >= 0.0)  # the numerator: 1 where s >= 0, t elsewhere
+    np.divide(p, d, out=p)
+    return float(p) if out is None and p.ndim == 0 else p
 
 
 def threshold_from_shift(delta: float) -> float:

@@ -32,11 +32,16 @@ refilled in place each epoch.
 MlpParams and Gradients keep one array per layer.  ``_blocks`` is the model
 file's layout, which save_model writes and load_model parses block by block.
 
-An SGD step (``_backprop``, then the momentum update) makes its hidden
-layer outputs and their gradients fresh.  At the grids' cap of 1024 rows a
-step each is 120 KiB, and glibc trims and regrows the heap around them;
-buffers made once per call saved too little for their code.  The step
-leaves its scores in a window of batches instead of computing its loss.
+An SGD step is one call of ``_backprop``, the one SGD kernel (forward
+pass, score gradient, backward pass), then the momentum update.  The
+kernel writes its hidden layer outputs, their gradients and its
+probabilities into a workspace (``_workspace``) made once per call and
+batch shape, with every transposed view it reads but the batch's own, for
+two reasons: a step makes fewer numpy calls, and at the grids' cap of 1024
+rows a step makes no fresh 120 KiB arrays, which glibc would trim and
+regrow the heap around.  A lone network runs on theta[0]'s 2-D views, so
+its matmuls have no stack axis.  The step leaves its scores in a window of
+batches instead of computing its loss.
 An epoch's loss needs only the per-batch losses summed in batch order, so
 they are computed from the stored scores when the window fills and at the
 end of the epoch, and added in that order: the bits one loss per step
@@ -160,15 +165,16 @@ class TrainResult:
     epoch_losses: tuple[float, ...]
 
 
-def sigmoid(s):
+def sigmoid(s, out=None):
     """calculus.logistic clipped into the open interval (0, 1).
 
-    Huge |s| never collapses the probability onto a hard 0/1.
+    Huge |s| never collapses the probability onto a hard 0/1.  ``out`` is
+    filled and returned as by ``logistic``, and clipped in place.
     """
-    p = np.asarray(logistic(s))
+    p = np.asarray(logistic(s, out))
     np.maximum(p, _PROB_LO, out=p)  # the bits of np.clip, at a third of its cost
     np.minimum(p, _PROB_HI, out=p)
-    return float(p) if p.ndim == 0 else p
+    return float(p) if out is None and p.ndim == 0 else p
 
 
 def init_params(arch: Architecture, seed: int) -> MlpParams:
@@ -300,32 +306,53 @@ def loss(params: MlpParams, x, targets) -> float:
     return float(np.mean(_softplus(s) - t * s))
 
 
-def _backprop(weights, biases, x: np.ndarray, t: np.ndarray, grads, s: np.ndarray) -> None:
-    """Gradients of each network's mean loss on one batch of a stack; the scores go into s.
+def _workspace(weights, shape: tuple[int, ...]):
+    """The arrays ``_backprop`` writes, but the gradients and scores, for scores of this shape ((m,) or (R, m)).
 
-    x is (R, m, d) and t (R, m).  grads are the per-layer views
-    (``_layers``) of one (R, P) gradient array, and every entry of it is
-    written.  s (R, m) is one batch of a score window.  Each layer
-    goes back through one plain matmul, the last one (whose inner dimension
-    is 1) too, so a step has the bits of a per-layer pass, signed zeros
-    included: matmul starts each sum at +0.0.
+    Made once per call and batch shape, with the transposed views the
+    backward pass reads: the weights' (which follow their in-place
+    updates), then per hidden layer its output, that output's transpose and
+    its gradient, and last the score gradient with its (..., m, 1) column.
     """
-    stack, _ = _forward_stack(weights, biases, x, [None] * (len(weights) - 1) + [s[..., None]])
+    outs = [np.empty(shape + w.shape[-1:]) for w in weights[:-1]]
+    ds = np.empty(shape)
+    return ([w.swapaxes(-1, -2) for w in weights], outs, [a.swapaxes(-1, -2) for a in outs],
+            [np.empty_like(a) for a in outs], ds, ds[..., None])
+
+
+def _backprop(weights, biases, x: np.ndarray, t: np.ndarray, grads, s: np.ndarray, work) -> None:
+    """Gradients of each network's mean loss on one batch; the scores go into s.
+
+    The one SGD kernel: the forward pass (``_forward_stack``), the score
+    gradient, then the backward pass.  x is (m, d) and t and s (m,) for one
+    network, or (R, m, d), (R, m) and (R, m) for a stack; s is one batch of a
+    score window.  grads are the per-layer views (``_layers``) of one
+    gradient array, and every entry of it is written.  Every other array
+    the pass writes is in ``work`` (``_workspace``), for two reasons: a step
+    makes fewer numpy calls, and at the grids' cap of 1024 rows a step makes
+    no fresh 120 KiB arrays, which glibc would trim and regrow the heap
+    around; only ``logistic``'s two temporaries of s's shape are new.
+    Each layer goes back through one plain matmul, the last one (whose inner
+    dimension is 1) too, so a step has the bits of a per-layer pass, signed
+    zeros included: matmul starts each sum at +0.0.
+    """
+    weights_t, outs, outs_t, deltas, ds, dh = work
+    _forward_stack(weights, biases, x, [*outs, s[..., None]])
     # d(mean loss)/d(score) = (sigmoid(s) - t) / m
-    dh = sigmoid(s)
-    dh -= t
-    dh /= x.shape[1]
-    dh = dh[..., None]
+    sigmoid(s, out=ds)
+    ds -= t
+    ds /= x.shape[-2]
     gw, gb = grads
-    for layer in range(len(weights) - 1, -1, -1):
-        np.matmul(stack[layer].transpose(0, 2, 1), dh, out=gw[layer])
-        np.add.reduce(dh, axis=1, out=gb[layer])
-        if layer:
-            dh = np.matmul(dh, weights[layer].transpose(0, 2, 1))
-            a = stack[layer]  # read for the last time just above
-            np.multiply(a, a, out=a)
-            np.subtract(1.0, a, out=a)  # tanh' in terms of the tanh output
-            dh *= a
+    for layer in range(len(weights) - 1, 0, -1):
+        np.matmul(outs_t[layer - 1], dh, out=gw[layer])
+        np.add.reduce(dh, axis=-2, out=gb[layer])
+        dh = np.matmul(dh, weights_t[layer], out=deltas[layer - 1])
+        a = outs[layer - 1]  # read for the last time just above
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)  # tanh' in terms of the tanh output
+        dh *= a
+    np.matmul(x.swapaxes(-1, -2), dh, out=gw[0])
+    np.add.reduce(dh, axis=-2, out=gb[0])
 
 
 def _add_window_losses(running: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -350,9 +377,9 @@ def grad(params: MlpParams, x, targets) -> Gradients:
         raise ValueError("grad needs at least one sample")
     t = _as_targets(targets, x.shape[:1]).astype(np.float64, copy=False)
     g = np.empty(sum(a.size for a in params.weights + params.biases))  # the layout of _layers
-    _backprop([w[None] for w in params.weights], [b[None, None] for b in params.biases],
-              x[None], t[None], _layers(params.arch, g[None]), np.empty((1, x.shape[0])))
-    return Gradients(*_layers(params.arch, g))
+    grads = _layers(params.arch, g)
+    _backprop(params.weights, params.biases, x, t, grads, np.empty(t.shape), _workspace(params.weights, t.shape))
+    return Gradients(*grads)
 
 
 def train(x, targets, arch: Architecture = Architecture(), cfg: TrainConfig = TrainConfig()) -> TrainResult:
@@ -396,22 +423,25 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     velocity = np.zeros_like(theta)
     tail = np.full_like(theta, -0.0)  # -0.0 + p is p bit for bit, for p = +0.0 too
     shuffles = [make_rng(seed, "mlp-shuffle") for seed in seeds]
-    weights, biases = _layers(arch, theta)  # views that follow theta's in-place updates
-    biases = tuple(b[:, None] for b in biases)  # (R, 1, fan_out) broadcasts over a batch
+    net = 0 if stack == 1 else slice(None)  # a lone network runs on theta[0]'s 2-D views: no stack axis
+    weights, biases = _layers(arch, theta[net])  # views that follow theta's in-place updates
+    biases = tuple(b[..., None, :] for b in biases)  # (..., 1, fan_out) broadcasts over a batch
     g = np.empty_like(theta)
-    grads = _layers(arch, g)
+    grads = _layers(arch, g[net])
 
     x_rows, t_rows = x.reshape(-1, arch.input_dim), t.reshape(-1)  # network r owns rows r*n ..
     # this epoch's rows of each network, in order; shuffle draws the same permutation for either dtype
     order = np.empty((stack, n), dtype=np.int32 if stack * n <= np.iinfo(np.int32).max else np.intp)
     full = n - n % cfg.batch_size
-    # (batch rows, starts, score window); a window holds as many batches as keep their
+    # (batch rows, starts, score window, workspace); a window holds as many batches as keep their
     # gathered inputs (and so their scores) under _BLOCK_BYTES, like a block of ``score``, and at least one
     row_bytes = 8 * stack * arch.input_dim  # one gathered row of every network
-    spans = [(rows, starts, np.empty((min(len(starts), max(1, (_BLOCK_BYTES - 1) // (row_bytes * rows))),
-                                      stack, rows)))
-             for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)),
-                                  (n - full, range(full, n, cfg.batch_size))) if starts]
+    spans = []
+    for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)),
+                         (n - full, range(full, n, cfg.batch_size))):
+        if starts:
+            window = np.empty((min(len(starts), max(1, (_BLOCK_BYTES - 1) // (row_bytes * rows))), stack, rows))
+            spans.append((rows, starts, window, _workspace(weights, window[0, net].shape)))
     epoch_losses: list[list[float]] = []  # per epoch, one loss per network
     averaged = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises its own error below
@@ -423,24 +453,23 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
                 np.cumsum(row, dtype=row.dtype, out=row)
                 shuffle.shuffle(row)
             running = np.zeros(stack)
-            for rows, starts, window in spans:
+            for rows, starts, window, work in spans:
                 for first in range(0, len(starts), len(window)):
                     batches = len(starts[first:first + len(window)])
                     span = order[:, starts[first]:starts[first] + batches * rows]
                     # one gather serves the stack; the targets in their own dtype,
-                    # then cast to the float64 the step reads
-                    xs = np.take(x_rows, span, axis=0)
-                    ts = np.take(t_rows, span).astype(np.float64, copy=False)
-                    for k, s in enumerate(window[:batches]):
-                        batch = slice(k * rows, (k + 1) * rows)
-                        _backprop(weights, biases, xs[:, batch], ts[:, batch], grads, s)
+                    # then cast to the float64 the step reads; both batch-major views
+                    xs = np.take(x_rows, span, axis=0).reshape(stack, batches, rows, -1).swapaxes(0, 1)
+                    ts = np.take(t_rows, span).astype(np.float64, copy=False).reshape(stack, batches, rows)
+                    ts = ts.swapaxes(0, 1)
+                    for x_batch, t_batch, s in zip(xs[:, net], ts[:, net], window[:batches, net]):
+                        _backprop(weights, biases, x_batch, t_batch, grads, s, work)
                         if cfg.weight_decay:
                             g[:, :n_weights] += theta[:, :n_weights] * cfg.weight_decay
                         velocity *= cfg.momentum
                         velocity -= np.multiply(g, cfg.learning_rate, out=g)
                         theta += velocity
-                    targets = ts.reshape(stack, batches, rows).transpose(1, 0, 2)
-                    running = _add_window_losses(running, window[:batches], targets)
+                    running = _add_window_losses(running, window[:batches], ts)
             losses = (running / n).tolist()
             for r, value in enumerate(losses):
                 if not math.isfinite(value):
