@@ -204,9 +204,9 @@ def _load_grid_config(cls, path):
             raise UsageError(f"{prefix}top level must be a JSON object")
         allowed = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - allowed)
-        if unknown:
+        if unknown:  # named by repr: a key may hold a newline
             raise UsageError(
-                f"{prefix}unknown key(s): {', '.join(unknown)}; "
+                f"{prefix}unknown key(s): {', '.join(map(repr, unknown))}; "
                 f"allowed keys: {', '.join(sorted(allowed))}")
     return _flags(lambda: cls(**raw), prefix)
 

@@ -20,15 +20,15 @@ per-layer views (``_layers``) are (R, fan_in, fan_out) weights and
 Each batched operation does for every network what it does for one alone,
 so a stack gives each network the bits it would get alone; ``train`` is
 the stack of one.  A stack keeps its shape for the whole call, so its views
-are made once per call.  Each epoch, every network draws its own shuffle
-into one (R, n) row order, int32 where R·n fits; each window of batches
-(see below) then gathers its rows of every network from the stacked inputs
-into fresh window-sized arrays, so a call holds no shuffled copy of a whole
-dataset.
+and its epoch plan are made once per call.  The plan lists the windows an
+epoch walks, in row order, each as (first row, batches, rows a batch, score
+window, workspace).  Each epoch refills one (R, n) row order in place, int32
+where R·n fits, and every network shuffles its own row of it; each window
+then gathers its rows of every network from the stacked inputs into fresh
+window-sized arrays, so a call holds no shuffled copy of a whole dataset.
 The targets, checked to be 0/1, are gathered in their own dtype (a
 Dataset's bool labels) and cast to float64 a window at a time, so a call
-holds no float64 copy of the target column either; the row order is
-refilled in place each epoch.
+holds no float64 copy of the target column either.
 MlpParams and Gradients keep one array per layer.  ``_blocks`` is the model
 file's layout, which save_model writes and load_model parses block by block.
 
@@ -40,16 +40,16 @@ batch shape, with every transposed view it reads but the batch's own, for
 two reasons: a step makes fewer numpy calls, and at the grids' cap of 1024
 rows a step makes no fresh 120 KiB arrays, which glibc would trim and
 regrow the heap around.  A lone network runs on theta[0]'s 2-D views, so
-its matmuls have no stack axis.  The step leaves its scores in a window of
-batches instead of computing its loss.
+its matmuls have no stack axis.  The step leaves its scores in its
+window's score array instead of computing its loss.
 An epoch's loss needs only the per-batch losses summed in batch order, so
-they are computed from the stored scores when the window fills and at the
-end of the epoch, and added in that order: the bits one loss per step
-would give.
-A window holds as many batches as keep their gathered inputs under
-``_BLOCK_BYTES``, so that the gather, the scores and the loss temporaries
-made from them reuse heap pages; a whole epoch's scores (200 000 rows for
-a large dataset) would cost fresh pages and raise peak memory.
+they are computed from a window's scores once its batches have stepped,
+and added in that order: the bits one loss per step would give.
+A window holds as many batches of one size as keep their gathered inputs
+under ``_BLOCK_BYTES``, and at least one, so that the gather, the scores and
+the loss temporaries made from them reuse heap pages; a whole epoch's scores
+(200 000 rows for a large dataset) would cost fresh pages and raise peak
+memory.  The windows of full batches share one score array and workspace.
 
 ``score`` and ``classify`` run a batch through the network ``block_rows``
 rows at a time (``_score_blocks``) and fill one preallocated column: the
@@ -225,8 +225,8 @@ def _layers(arch: Architecture, theta: np.ndarray) -> tuple[tuple[np.ndarray, ..
     return tuple(views[:len(sizes) - 1]), tuple(views[len(sizes) - 1:])
 
 
-def _forward_stack(weights, biases, x: np.ndarray, out=None) -> tuple[list[np.ndarray], np.ndarray]:
-    """Layer inputs and scores: one network on (m, d), or a stack on (R, m, d).
+def _forward_stack(weights, biases, x: np.ndarray, out=None) -> np.ndarray:
+    """Scores: one network's (m,) on (m, d), or a stack's (R, m) on (R, m, d).
 
     Biases broadcast over the batch: (fan_out,), a stack's (R, 1, fan_out),
     or (m, fan_out) rows of a tiled bias.  ``out``, when given, holds one
@@ -234,14 +234,12 @@ def _forward_stack(weights, biases, x: np.ndarray, out=None) -> tuple[list[np.nd
     in place of new arrays.
     """
     a = x
-    stack = [a]
     for layer, (w, b) in enumerate(zip(weights, biases)):
         a = np.matmul(a, w, out=None if out is None else out[layer])
         a += b
         if layer < len(weights) - 1:
             np.tanh(a, out=a)
-            stack.append(a)
-    return stack, a[..., 0]
+    return a[..., 0]
 
 
 def score(params: MlpParams, x):
@@ -274,8 +272,7 @@ def _score_blocks(params: MlpParams, x: np.ndarray):
     outs = [np.empty((most, b.size)) for b in params.biases]
     for start, stop in zip(starts, [*starts[1:], m]):
         k = stop - start
-        _, s = _forward_stack(params.weights, [b[:k] for b in biases], x[start:stop],
-                              [out[:k] for out in outs])
+        s = _forward_stack(params.weights, [b[:k] for b in biases], x[start:stop], [out[:k] for out in outs])
         yield slice(start, stop), s
 
 
@@ -302,7 +299,7 @@ def loss(params: MlpParams, x, targets) -> float:
     if x.shape[0] == 0:
         raise ValueError("loss needs at least one sample")
     t = _as_targets(targets, x.shape[:1]).astype(np.float64, copy=False)
-    _, s = _forward_stack(params.weights, params.biases, x)
+    s = _forward_stack(params.weights, params.biases, x)
     return float(np.mean(_softplus(s) - t * s))
 
 
@@ -432,44 +429,45 @@ def train_stack(x, targets, arch: Architecture, cfg: TrainConfig, seeds) -> list
     x_rows, t_rows = x.reshape(-1, arch.input_dim), t.reshape(-1)  # network r owns rows r*n ..
     # this epoch's rows of each network, in order; shuffle draws the same permutation for either dtype
     order = np.empty((stack, n), dtype=np.int32 if stack * n <= np.iinfo(np.int32).max else np.intp)
-    full = n - n % cfg.batch_size
-    # (batch rows, starts, score window, workspace); a window holds as many batches as keep their
-    # gathered inputs (and so their scores) under _BLOCK_BYTES, like a block of ``score``, and at least one
+    firsts = np.arange(0, stack * n, n)  # network r's first row
+    # the epoch plan: (first row, batches, rows a batch, score window, workspace) of each window, in row
+    # order; a window holds as many batches as keep their gathered inputs (and so their scores) under
+    # _BLOCK_BYTES, like a block of ``score``, and at least one; windows of one batch size share arrays
     row_bytes = 8 * stack * arch.input_dim  # one gathered row of every network
-    spans = []
-    for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)),
-                         (n - full, range(full, n, cfg.batch_size))):
+    full, plan = n - n % cfg.batch_size, []
+    for rows, starts in ((cfg.batch_size, range(0, full, cfg.batch_size)), (n - full, range(full, n, cfg.batch_size))):
         if starts:
-            window = np.empty((min(len(starts), max(1, (_BLOCK_BYTES - 1) // (row_bytes * rows))), stack, rows))
-            spans.append((rows, starts, window, _workspace(weights, window[0, net].shape)))
+            scores = np.empty((min(len(starts), max(1, (_BLOCK_BYTES - 1) // (row_bytes * rows))), stack, rows))
+            work = _workspace(weights, scores[0, net].shape)
+            for at in range(0, len(starts), len(scores)):
+                batches = len(starts[at:at + len(scores)])
+                plan.append((starts[at], batches, rows, scores[:batches], work))
     epoch_losses: list[list[float]] = []  # per epoch, one loss per network
     averaged = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises its own error below
         for epoch in range(cfg.epochs):
+            order.fill(1)  # r*n, r*n + 1, ... in row r: ones summed in place, with no arange temporary
+            order[:, 0] = firsts
+            np.cumsum(order, axis=1, dtype=order.dtype, out=order)
             # each network shuffles its own rows, in stack order: the draw of permutation(n), offset
-            for r, (row, shuffle) in enumerate(zip(order, shuffles)):
-                row.fill(1)  # r*n, r*n + 1, ...: ones summed in place, with no arange temporary
-                row[0] = r * n
-                np.cumsum(row, dtype=row.dtype, out=row)
+            for row, shuffle in zip(order, shuffles):
                 shuffle.shuffle(row)
             running = np.zeros(stack)
-            for rows, starts, window, work in spans:
-                for first in range(0, len(starts), len(window)):
-                    batches = len(starts[first:first + len(window)])
-                    span = order[:, starts[first]:starts[first] + batches * rows]
-                    # one gather serves the stack; the targets in their own dtype,
-                    # then cast to the float64 the step reads; both batch-major views
-                    xs = np.take(x_rows, span, axis=0).reshape(stack, batches, rows, -1).swapaxes(0, 1)
-                    ts = np.take(t_rows, span).astype(np.float64, copy=False).reshape(stack, batches, rows)
-                    ts = ts.swapaxes(0, 1)
-                    for x_batch, t_batch, s in zip(xs[:, net], ts[:, net], window[:batches, net]):
-                        _backprop(weights, biases, x_batch, t_batch, grads, s, work)
-                        if cfg.weight_decay:
-                            g[:, :n_weights] += theta[:, :n_weights] * cfg.weight_decay
-                        velocity *= cfg.momentum
-                        velocity -= np.multiply(g, cfg.learning_rate, out=g)
-                        theta += velocity
-                    running = _add_window_losses(running, window[:batches], ts)
+            for first, batches, rows, scores, work in plan:
+                span = order[:, first:first + batches * rows]
+                # one gather serves the stack; the targets in their own dtype,
+                # then cast to the float64 the step reads; both batch-major views
+                xs = np.take(x_rows, span, axis=0).reshape(stack, batches, rows, -1).swapaxes(0, 1)
+                ts = np.take(t_rows, span).astype(np.float64, copy=False).reshape(stack, batches, rows)
+                ts = ts.swapaxes(0, 1)
+                for x_batch, t_batch, s in zip(xs[:, net], ts[:, net], scores[:, net]):
+                    _backprop(weights, biases, x_batch, t_batch, grads, s, work)
+                    if cfg.weight_decay:
+                        g[:, :n_weights] += theta[:, :n_weights] * cfg.weight_decay
+                    velocity *= cfg.momentum
+                    velocity -= np.multiply(g, cfg.learning_rate, out=g)
+                    theta += velocity
+                running = _add_window_losses(running, scores, ts)
             losses = (running / n).tolist()
             for r, value in enumerate(losses):
                 if not math.isfinite(value):

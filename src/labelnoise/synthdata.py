@@ -410,32 +410,35 @@ def _load_sidecar(path) -> Dataset | None:
 def _parse_dataset_csv(reader) -> Dataset:
     # typed columns hold 18 bytes a row; a tuple and two ints per row would hold over 100
     xs, ys, zs = array.array("d"), array.array("B"), array.array("B")
-    header = next(reader, None)
-    if header is None:
-        raise DatasetFormatError("line 1: file is empty")
-    if tuple(header) != CSV_FIELDS:
-        raise DatasetFormatError(
-            f"line 1: expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
-        )
-    for row in reader:
-        lineno = reader.line_num  # a quoted field may span physical lines
-        if not row:
-            continue
-        if len(row) != 4:
-            raise DatasetFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        try:
-            x1, x2 = float(row[0]), float(row[1])
-            y, z = int(row[2]), int(row[3])
-        except ValueError as exc:
-            raise DatasetFormatError(f"line {lineno}: {exc}") from None
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise DatasetFormatError(f"line {lineno}: features must be finite")
-        if y not in (0, 1) or z not in (0, 1):
-            raise DatasetFormatError(f"line {lineno}: labels must be 0 or 1")
-        xs.append(x1)
-        xs.append(x2)
-        ys.append(y)
-        zs.append(z)
+    try:  # the reader raises csv.Error for a field past the stdlib's field limit, which stays as it is
+        header = next(reader, None)
+        if header is None:
+            raise DatasetFormatError("line 1: file is empty")
+        if tuple(header) != CSV_FIELDS:
+            raise DatasetFormatError(
+                f"line 1: expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
+            )
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span physical lines
+            if not row:
+                continue
+            if len(row) != 4:
+                raise DatasetFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+            try:
+                x1, x2 = float(row[0]), float(row[1])
+                y, z = int(row[2]), int(row[3])
+            except ValueError as exc:
+                raise DatasetFormatError(f"line {lineno}: {exc}") from None
+            if not (math.isfinite(x1) and math.isfinite(x2)):
+                raise DatasetFormatError(f"line {lineno}: features must be finite")
+            if y not in (0, 1) or z not in (0, 1):
+                raise DatasetFormatError(f"line {lineno}: labels must be 0 or 1")
+            xs.append(x1)
+            xs.append(x2)
+            ys.append(y)
+            zs.append(z)
+    except csv.Error as exc:
+        raise DatasetFormatError(f"line {reader.line_num}: {exc}") from None
     if not xs:
         raise DatasetFormatError("line 2: no data rows")
     # views of the columns' own buffers, no copies; the label bytes were checked to be 0 or 1

@@ -410,6 +410,11 @@ def test_runtime_file_problems_exit_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "train", "--data", str(bad), "--out", str(tmp_path / "m.txt"))
     assert code == 1
     assert "line 3" in err
+    # a field past the csv module's field limit (131072 characters) is its line's error
+    bad.write_text("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n" + "1" * 200_000 + ",2.0,0,1\n")
+    code, out, err = run_cli(capsys, "train", "--data", str(bad), "--out", str(tmp_path / "m.txt"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 3: field larger than field limit") and err.count("\n") == 1
     # a byte that is not UTF-8 on a piped stdin exits 1 naming its line, and writes no model
     proc = subprocess.run([sys.executable, "-m", "labelnoise.cli", "train", "--data", "/dev/stdin",
                            "--out", str(tmp_path / "m.txt")],
@@ -701,6 +706,7 @@ def test_fig_requires_outdir_unless_printing(capsys):
     ("{not json", "not valid JSON"),
     ("[1, 2]", "JSON object"),
     ('{"surprise_key": 1}', "surprise_key"),
+    ('{"mome\\ntum": 1}', "unknown key(s): 'mome\\ntum'; "),  # one line for a key with a newline
     ('{"runs": "many"}', "runs"),
     ('{"noise_levels": 0.4}', "noise_levels"),
     ('{"runs": 0}', "runs"),
@@ -715,7 +721,7 @@ def test_fig_config_problems_exit_two_and_name_the_key(capsys, tmp_path, payload
     cfg.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
     code, _, err = run_cli(capsys, "fig3", "--config", str(cfg), "--outdir", str(tmp_path / "o"))
     assert code == 2
-    assert err.startswith(f"error: config {cfg}: ")
+    assert err.startswith(f"error: config {cfg}: ") and err.count("\n") == 1
     assert fragment in err
 
 

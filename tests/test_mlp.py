@@ -15,6 +15,7 @@ from labelnoise.mlp import (
     TrainConfig,
     TrainingDivergedError,
     _forward_stack,
+    _layers,
     block_rows,
     classify,
     grad,
@@ -179,7 +180,7 @@ def test_score_in_blocks_equals_one_whole_batch_pass_bit_for_bit(hidden, rows, s
     rng = make_rng(11, "blocks-x")
     for m in [0, 1, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1, *sizes]:
         x = rng.normal(size=(m, 2)) * 2.0
-        _, whole = _forward_stack(params.weights, params.biases, x)
+        whole = _forward_stack(params.weights, params.biases, x)
         assert score(params, x).tobytes() == whole.tobytes()
 
 
@@ -375,8 +376,10 @@ def reference_backprop(weights, biases, x, t):
 def reference_train(x, t, arch, cfg):
     """Mini-batch SGD with momentum, one layer at a time: (weights, biases, epoch losses)."""
     params = init_params(arch, cfg.init_seed)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
+    # views of one flat vector in train's layout, so that every matrix starts at
+    # train's offset: OpenBLAS's Prescott dot product (a 1-row batch's score)
+    # sums in another order for an operand that is not 16-byte aligned
+    weights, biases = map(list, _layers(arch, np.concatenate([a.ravel() for a in params.weights + params.biases])))
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
     shuffle_rng = make_rng(cfg.init_seed, "mlp-shuffle")

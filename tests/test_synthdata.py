@@ -509,6 +509,9 @@ MALFORMED_CSVS = [
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n\x1c1.0,2.0,0,1\n", 3),  # float() does not strip \x1c
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1.0,2.0,0,-1\n", 3),
     ("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n1e400,2.0,0,1\n", 3),
+    # the csv module's field limit (131072 characters) stays; the field is a line's error
+    pytest.param("x1,x2,y_clean,z_observed\n1.0,2.0,0,1\n" + "1" * 200_000 + ",2.0,0,1\n", 3,
+                 id="field-past-the-csv-limit"),
 ]
 
 
